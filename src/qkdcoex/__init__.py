@@ -7,7 +7,6 @@ Four layers: `link` (loss/transmittance/isolation budgets), `raman`
 (presets, sweeps, calibration, result emission, CLI).
 """
 
-from ._backend import backend_name
 from .decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
                     DistanceResult, KeyRateBreakdown, ProtocolParams,
                     background_yield, binary_entropy, dbm_to_mw,
@@ -38,4 +37,30 @@ from .scenario import (CalibrationReport, CalibrationTarget, ChannelState,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def backend_name() -> str:
+    """Name of the per-point implementation; there is only the Python one."""
+    return "python"
+
+
+__all__ = [
+    "Band", "CalibrationError", "CalibrationReport", "CalibrationTarget",
+    "ChannelPoint", "ChannelState", "ComponentSpec", "ComputationError",
+    "ConfigError", "DecoyIntensities", "DegenerateFitError", "DetectorSpec",
+    "DistanceResult", "DomainError", "FMF_MODAL_ISOLATION", "FiberKind",
+    "FiberSpec", "IsolationTable", "KeyRateBreakdown", "LinkPlan", "Mode",
+    "MultiplexScheme", "NoSecureDistanceError", "NoiseMeasurement",
+    "ProtocolParams", "QkdCoexError", "RAMAN_CPS_PER_MW_KM",
+    "REFERENCE_TARGETS", "RamanCoefficient", "ResultRow", "Scenario",
+    "SchemeName", "Side", "SweepSpec", "TargetResidual", "UndefinedBoundError",
+    "apply_calibration", "backend_name", "background_yield", "binary_entropy",
+    "calibrate", "channel_state", "classical_min_launch_power_dbm",
+    "coefficient_suppression", "dbm_to_mw", "detected_count_suppression",
+    "e1_upper_bound", "emit_results", "evaluate_at", "fit_raman_coefficient",
+    "gain_and_qber", "get_preset", "key_rate_details", "launch_power_dbm",
+    "load_scenario", "max_secure_distance", "max_secure_distance_km",
+    "modal_isolation_at", "mw_to_dbm", "noise_prob_per_pulse",
+    "peak_noise_distance_km", "preset_names", "read_measurements_csv",
+    "rows_to_csv", "rows_to_json", "run_sweep", "secure_key_rate_bps",
+    "srs_noise_rate_cps", "total_loss_db", "transmittance", "y1_lower_bound",
+]

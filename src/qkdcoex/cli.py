@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 
 from . import presets as presets_mod
-from ._backend import backend_name
-from .config import load_scenario, load_sweep
+from .config import _load_scenario_file
 from .errors import ComputationError, QkdCoexError
 from .raman import fit_raman_coefficient, read_measurements_csv
 from .scenario import (Scenario, SweepSpec, calibrate, emit_results,
@@ -43,8 +42,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser):
 def _resolve_scenario(args) -> tuple[Scenario, SweepSpec | None]:
     if args.preset:
         return presets_mod.get_preset(args.preset), None
-    scenario = load_scenario(args.scenario)
-    return scenario, load_sweep(args.scenario)
+    return _load_scenario_file(args.scenario)
 
 
 def _write_or_print(text: str, out: str | None):
@@ -207,7 +205,6 @@ def _cmd_presets(args) -> int:
     for name in presets_mod.preset_names():
         sys.stdout.write(
             f"{name:<{width}}  {presets_mod.PRESET_SUMMARIES[name]}\n")
-    sys.stdout.write(f"# kernel backend: {backend_name()}\n")
     return 0
 
 

@@ -159,9 +159,7 @@ def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
                     classical_path_components=tuple(classical_path))
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Load and fully validate a scenario from an INI file."""
-    sections = _read_ini(path)
+def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
     fiber, components = sections["fiber"], sections["components"]
     classical, quantum = sections["classical"], sections["quantum"]
     detector, raman = sections["detector"], sections["raman"]
@@ -223,9 +221,8 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def load_sweep(path: str | Path) -> SweepSpec | None:
-    """Read the optional [sweep] section of a scenario file."""
-    sweep = _read_ini(path)["sweep"]
+def _sweep_from(sections: dict[str, _Section]) -> SweepSpec | None:
+    sweep = sections["sweep"]
     if not (sweep.has("from_km") or sweep.has("to_km") or sweep.has("step_km")):
         return None
     spec = SweepSpec(
@@ -235,3 +232,19 @@ def load_sweep(path: str | Path) -> SweepSpec | None:
     )
     sweep.check_consumed()
     return spec
+
+
+def _load_scenario_file(path: str | Path) -> tuple[Scenario, SweepSpec | None]:
+    """Scenario and optional sweep of one INI file, read and parsed once."""
+    sections = _read_ini(path)
+    return _scenario_from(sections, path), _sweep_from(sections)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Load and fully validate a scenario from an INI file."""
+    return _scenario_from(_read_ini(path), path)
+
+
+def load_sweep(path: str | Path) -> SweepSpec | None:
+    """Read the optional [sweep] section of a scenario file."""
+    return _sweep_from(_read_ini(path))

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._backend import impl
 from .errors import (ConfigError, DomainError, NoSecureDistanceError,
                      UndefinedBoundError)
 
@@ -157,20 +156,100 @@ class DistanceResult:
     at_upper_boundary: bool = False
 
 
+# ---------------------------------------------------------------------------
+# per-point kernels: evaluated once per sweep point, calibration grid cell
+# and bisection step, on arguments the public functions below validate
+
+def _h2(x: float) -> float:
+    """Binary entropy in bits; 0 at both endpoints by continuity."""
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _y1_lower(qmu: float, qnu: float, mu: float, nu: float,
+              y0: float) -> tuple[float, int]:
+    """Vacuum+weak-decoy lower bound on the single-photon yield, clamped to
+    [0, 1]. Returns (value, 1 if clamping occurred else 0)."""
+    denom = mu * nu - nu * nu
+    raw = (mu / denom) * (
+        qnu * math.exp(nu)
+        - qmu * math.exp(mu) * (nu * nu) / (mu * mu)
+        - (mu * mu - nu * nu) / (mu * mu) * y0
+    )
+    if raw < 0.0:
+        return 0.0, 1
+    if raw > 1.0:
+        return 1.0, 1
+    return raw, 0
+
+
+def _e1_upper(enu: float, qnu: float, nu: float, y1: float,
+              y0: float, e0: float) -> tuple[float, int]:
+    """Vacuum+weak-decoy upper bound on the single-photon error rate,
+    clamped to [0, 0.5]. Returns (value, 1 if clamping occurred else 0)."""
+    raw = (enu * qnu * math.exp(nu) - e0 * y0) / (y1 * nu)
+    if raw < 0.0:
+        return 0.0, 1
+    if raw > 0.5:
+        return 0.5, 1
+    return raw, 0
+
+
+def _key_point(eta: float, y0: float, mu: float, nu: float, e0: float,
+               ed: float, f_ec: float, q_sift: float):
+    """Fused per-point evaluation of the asymptotic secure fraction.
+
+    Returns (r_per_pulse, q_mu, e_mu, q_nu, e_nu, y1_lower, e1_upper, clamps)
+    where r_per_pulse = max(0, q_sift * (-Qmu*f*H2(Emu) + Q1*(1 - H2(e1)))),
+    before the clock and signal-emission multipliers. A vanishing yield
+    bound makes the rate zero with e1 pinned at 0.5. The gains repeat
+    `gain_and_qber` inline, which saves two calls per point.
+    """
+    s_mu = -math.expm1(-eta * mu)
+    qmu = y0 + s_mu
+    emu = (e0 * y0 + ed * s_mu) / qmu if qmu > 0.0 else e0
+
+    s_nu = -math.expm1(-eta * nu)
+    qnu = y0 + s_nu
+    enu = (e0 * y0 + ed * s_nu) / qnu if qnu > 0.0 else e0
+
+    y1, clamps = _y1_lower(qmu, qnu, mu, nu, y0)
+    if y1 <= 0.0:
+        return 0.0, qmu, emu, qnu, enu, y1, 0.5, clamps + 1
+
+    e1, c = _e1_upper(enu, qnu, nu, y1, y0, e0)
+    clamps += c
+
+    q1 = y1 * mu * math.exp(-mu)
+    r = q_sift * (-qmu * f_ec * _h2(emu) + q1 * (1.0 - _h2(e1)))
+    if r < 0.0:
+        r = 0.0
+    return r, qmu, emu, qnu, enu, y1, e1, clamps
+
+
 def binary_entropy(x: float) -> float:
     """H2(x) = -x log2 x - (1-x) log2 (1-x), with H2(0) = H2(1) = 0."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"binary entropy argument must be in [0, 1], got {x}")
-    return impl.h2(x)
+    return _h2(x)
 
 
 def gain_and_qber(intensity: float, ch: ChannelPoint,
                   params: ProtocolParams) -> tuple[float, float]:
-    """Gain Q and QBER E for one Poissonian intensity on this channel."""
+    """Gain Q and QBER E for one Poissonian intensity on this channel.
+
+    Q = Y0 + 1 - exp(-eta*intensity); E*Q = e0*Y0 + ed*(1 - exp(-eta*intensity)).
+    A dead channel (Q == 0) reports the background error e0.
+    """
     if intensity < 0.0:
         raise DomainError(f"intensity must be >= 0, got {intensity}")
-    return impl.gain_qber(intensity, ch.eta, ch.y0,
-                          params.background_error, params.misalignment_error)
+    signal = -math.expm1(-ch.eta * intensity)
+    q = ch.y0 + signal
+    if q > 0.0:
+        return q, ((params.background_error * ch.y0
+                    + params.misalignment_error * signal) / q)
+    return q, params.background_error
 
 
 def y1_lower_bound(q_mu: float, q_nu: float, intensities: DecoyIntensities,
@@ -180,7 +259,7 @@ def y1_lower_bound(q_mu: float, q_nu: float, intensities: DecoyIntensities,
     mu, nu = intensities.mu, intensities.nu
     if mu * nu - nu * nu == 0.0:
         raise DomainError("degenerate intensities: mu*nu - nu^2 is zero")
-    value, _ = impl.y1_lower(q_mu, q_nu, mu, nu, y0)
+    value, _ = _y1_lower(q_mu, q_nu, mu, nu, y0)
     return value
 
 
@@ -191,7 +270,7 @@ def e1_upper_bound(q_nu: float, e_nu: float, nu: float, y1_lower: float,
         raise UndefinedBoundError(
             "single-photon yield bound is zero; key rate is zero"
         )
-    value, _ = impl.e1_upper(e_nu, q_nu, nu, y1_lower, y0, e0)
+    value, _ = _e1_upper(e_nu, q_nu, nu, y1_lower, y0, e0)
     return value
 
 
@@ -201,7 +280,7 @@ def key_rate_details(ch: ChannelPoint, intensities: DecoyIntensities,
     mu, nu = intensities.mu, intensities.nu
     if mu * nu - nu * nu == 0.0:
         raise DomainError("degenerate intensities: mu*nu - nu^2 is zero")
-    rpp, qmu, emu, qnu, enu, y1, e1, clamps = impl.key_point(
+    rpp, qmu, emu, qnu, enu, y1, e1, clamps = _key_point(
         ch.eta, ch.y0, mu, nu,
         params.background_error, params.misalignment_error,
         params.ec_efficiency, params.sifting_factor,
@@ -231,6 +310,9 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
     non-positive over the whole range. On a normal return d, the bracket
     rate_fn(d) > 0 and rate_fn(d + resolution) <= 0 holds.
     """
+    if not all(map(math.isfinite, (from_km, to_km, coarse_step_km, resolution_km))):
+        raise DomainError(f"search range and steps must be finite, got "
+                          f"[{from_km}, {to_km}], {coarse_step_km}, {resolution_km}")
     if to_km < from_km:
         raise DomainError(f"empty search range [{from_km}, {to_km}]")
     if coarse_step_km <= 0.0 or resolution_km <= 0.0:
@@ -296,7 +378,7 @@ def background_yield(detector: DetectorSpec, params: ProtocolParams,
         raise DomainError(f"noise rate must be >= 0, got {noise_rate_cps}")
     gates_per_pulse = detector.gate_hz / params.clock_hz
     dark = detector.num_detectors * detector.dark_count_per_gate * gates_per_pulse
-    divisor = per_pulse_divisor_hz if per_pulse_divisor_hz else params.clock_hz
+    divisor = params.clock_hz if per_pulse_divisor_hz is None else per_pulse_divisor_hz
     if divisor <= 0.0:
         raise DomainError(f"divisor must be > 0 Hz, got {divisor}")
     noise = min(1.0, noise_rate_cps / divisor)

@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ._backend import impl
 from .errors import ConfigError, DomainError
 
 
@@ -261,7 +260,7 @@ def transmittance(loss_db: float) -> float:
     """Linear power transmittance of a dB loss: 10^(-loss/10)."""
     if loss_db < 0.0:
         raise DomainError(f"loss must be >= 0 dB, got {loss_db}")
-    return impl.db_loss_to_transmittance(loss_db)
+    return 10.0 ** (-loss_db / 10.0)
 
 
 def modal_isolation_at(table: IsolationTable, direction: SchemeName,

@@ -90,7 +90,6 @@ def _baseline(name: str, link: LinkPlan, scheme: SchemeName) -> Scenario:
         classical_launch_power_dbm=LAUNCH_POWER_DBM,
         adaptive_power=False,
         receiver_sensitivity_dbm=RECEIVER_SENSITIVITY_DBM,
-        isolation=None if scheme is SchemeName.SMF else FMF_MODAL_ISOLATION,
     )
 
 

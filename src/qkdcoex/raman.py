@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._backend import impl
 from .errors import ConfigError, DegenerateFitError, DomainError
 from .link import SchemeName
 
@@ -53,6 +52,12 @@ class NoiseMeasurement:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
+def _srs_rate(power_mw: float, rho: float, length_km: float,
+              alpha_db_per_km: float) -> float:
+    """Forward-scattered Raman count rate: power * rho * L, attenuated over L."""
+    return power_mw * rho * length_km * 10.0 ** (-alpha_db_per_km * length_km / 10.0)
+
+
 def srs_noise_rate_cps(power_mw: float, rho: RamanCoefficient,
                        distance_km: float, alpha_db_per_km: float) -> float:
     """Detected Raman noise count rate at the given distance.
@@ -68,8 +73,8 @@ def srs_noise_rate_cps(power_mw: float, rho: RamanCoefficient,
     """
     if power_mw < 0.0 or distance_km < 0.0 or alpha_db_per_km < 0.0:
         raise DomainError("power, distance and attenuation must be >= 0")
-    return impl.srs_rate(power_mw, rho.rho_cps_per_mw_km, distance_km,
-                         alpha_db_per_km)
+    return _srs_rate(power_mw, rho.rho_cps_per_mw_km, distance_km,
+                     alpha_db_per_km)
 
 
 def noise_prob_per_pulse(rate_cps: float, clock_hz: float) -> float:
@@ -105,8 +110,8 @@ def fit_raman_coefficient(measurements: Sequence[NoiseMeasurement],
     num = 0.0
     den = 0.0
     for m in usable:
-        model = impl.srs_rate(m.fiber_input_power_mw, 1.0, m.distance_km,
-                              alpha_db_per_km)
+        model = _srs_rate(m.fiber_input_power_mw, 1.0, m.distance_km,
+                          alpha_db_per_km)
         num += m.measured_rate_cps * model
         den += model * model
     if den == 0.0:
@@ -160,10 +165,10 @@ def detected_count_suppression(smf: tuple[float, float],
         raise DomainError("need at least one distance")
     total = 0.0
     for d in distances_km:
-        ref = impl.srs_rate(1.0, rho_smf, d, alpha_smf)
+        ref = _srs_rate(1.0, rho_smf, d, alpha_smf)
         if ref <= 0.0:
             raise DomainError(f"SMF reference rate is zero at {d} km")
-        mean_fmf = sum(impl.srs_rate(1.0, rho, d, alpha)
+        mean_fmf = sum(_srs_rate(1.0, rho, d, alpha)
                        for rho, alpha in fmf) / len(fmf)
         total += 1.0 - mean_fmf / ref
     return total / len(distances_km)

@@ -18,14 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._backend import impl
 from .decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
-                    DistanceResult, ProtocolParams, background_yield,
-                    dbm_to_mw, find_rate_cliff, key_rate_details)
+                    DistanceResult, ProtocolParams, _key_point,
+                    background_yield, dbm_to_mw, find_rate_cliff,
+                    key_rate_details)
 from .errors import CalibrationError, ComputationError, ConfigError
-from .link import (Band, IsolationTable, LinkPlan,
-                   classical_min_launch_power_dbm, total_loss_db,
-                   transmittance)
+from .link import Band, LinkPlan, total_loss_db, transmittance
 from .raman import RamanCoefficient, srs_noise_rate_cps
 
 RESULT_FIELDS = (
@@ -61,8 +59,6 @@ class Scenario:
     # Divisor converting the noise rate to a per-pulse probability: the
     # pulse clock (default) or the detector gate rate.
     noise_divisor: str = "clock"
-    # Characterization metadata; not used by the noise model.
-    isolation: IsolationTable | None = None
 
     def __post_init__(self):
         if self.noise_divisor not in ("clock", "gate"):
@@ -81,6 +77,9 @@ class SweepSpec:
     step_km: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.from_km, self.to_km, self.step_km))):
+            raise ConfigError(f"sweep range and step must be finite, got "
+                              f"{self.from_km}, {self.to_km}, {self.step_km}")
         if self.from_km > self.to_km:
             raise ConfigError(
                 f"sweep range is empty: from {self.from_km} to {self.to_km}"
@@ -92,7 +91,8 @@ class SweepSpec:
 
     def distances(self) -> list[float]:
         n = int(math.floor((self.to_km - self.from_km) / self.step_km + 1e-9)) + 1
-        return [self.from_km + i * self.step_km for i in range(n)]
+        return [min(self.from_km + i * self.step_km, self.to_km)
+                for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,14 @@ class ChannelState:
         return ChannelPoint(self.eta, self.y0)
 
 
-def _plan_at(scenario: Scenario, distance_km: float) -> LinkPlan:
-    return replace(scenario.link, length_km=distance_km)
-
-
 def launch_power_dbm(scenario: Scenario, distance_km: float) -> float:
     """Classical launch power used at this distance (fixed or adaptive)."""
-    if not scenario.adaptive_power:
-        return scenario.classical_launch_power_dbm
-    needed = classical_min_launch_power_dbm(
-        _plan_at(scenario, distance_km), scenario.receiver_sensitivity_dbm)
-    return min(needed, scenario.classical_launch_power_dbm)
+    return channel_state(scenario, distance_km).launch_power_dbm
 
 
 def channel_state(scenario: Scenario, distance_km: float) -> ChannelState:
     """Evaluate the link budget and background yield at one distance."""
-    plan = _plan_at(scenario, distance_km)
+    plan = replace(scenario.link, length_km=distance_km)
     quantum_loss = total_loss_db(plan, Band.QUANTUM)
     classical_loss = total_loss_db(plan, Band.CLASSICAL)
     needed = classical_loss + scenario.receiver_sensitivity_dbm
@@ -278,10 +270,6 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
 # ---------------------------------------------------------------------------
 # calibration
 
-def _log_rate(rate_bps: float) -> float:
-    return math.log(rate_bps) if rate_bps > 0.0 else -math.inf
-
-
 @dataclass(frozen=True)
 class CalibrationTarget:
     """Reference operating point: distance, secure key rate and QBER."""
@@ -392,13 +380,13 @@ def calibrate(scenarios: Sequence[Scenario],
         total = 0.0
         for scen, st, tgt in zip(scenarios, states, targets):
             p = scen.protocol
-            rpp, _, emu, _, _, _, _, _ = impl.key_point(
+            rpp, _, emu, _, _, _, _, _ = _key_point(
                 st.eta, st.y0, scen.intensities.mu, scen.intensities.nu,
                 p.background_error, ed, f, p.sifting_factor)
             rate = rpp * p.clock_hz * scen.intensities.p_mu
             if rate <= 0.0:
                 return math.inf
-            total += ((math.log(rate) - _log_rate(tgt.key_rate_bps)) ** 2
+            total += ((math.log(rate) - math.log(tgt.key_rate_bps)) ** 2
                       + ((emu - tgt.qber) / 0.005) ** 2)
         return total
 

@@ -137,3 +137,17 @@ def test_usage_error_exit_1(capsys):
 def test_bad_sweep_range_exit_1(capsys):
     assert main(["sweep", "--preset", "smf", "--from-km", "10",
                  "--to-km", "5"]) == 1
+
+
+_NON_FINITE = [("--from-km", "nan"), ("--to-km", "nan"), ("--to-km", "inf")]
+
+
+@pytest.mark.parametrize("verb, flag, value", (
+    [("sweep", flag, value) for flag, value in
+     _NON_FINITE + [("--step-km", "nan"), ("--step-km", "inf")]]
+    + [("max-distance", flag, value) for flag, value in _NON_FINITE]))
+def test_non_finite_distance_exit_1(verb, flag, value, capsys):
+    assert main([verb, "--preset", "smf", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err

@@ -272,6 +272,19 @@ class TestMaxDistance:
         with pytest.raises(NoSecureDistanceError):
             max_secure_distance_km(evaluator, INT, PARAMS, (0.0, 50.0))
 
+    @pytest.mark.parametrize("args", [
+        (0.0, math.nan, 1.0, 0.01),
+        (math.nan, 100.0, 1.0, 0.01),
+        (0.0, math.inf, 1.0, 0.01),
+        (-math.inf, 100.0, 1.0, 0.01),
+        (0.0, 100.0, math.nan, 0.01),
+        (0.0, 100.0, math.inf, 0.01),
+        (0.0, 100.0, 1.0, math.nan),
+    ])
+    def test_non_finite_arguments_rejected(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            find_rate_cliff(lambda d: 50.0 - d, *args)
+
 
 class TestBackgroundYield:
     def test_dark_composition(self):
@@ -287,3 +300,8 @@ class TestBackgroundYield:
         y0 = background_yield(det, PARAMS, 1250.0,
                               per_pulse_divisor_hz=det.gate_hz)
         assert y0 == pytest.approx(2.4e-6 + 1e-6, rel=1e-12)
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(DomainError, match="divisor"):
+            background_yield(DetectorSpec(), PARAMS, 1250.0,
+                             per_pulse_divisor_hz=0.0)

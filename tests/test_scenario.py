@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qkdcoex import config
 from qkdcoex.config import load_scenario, load_sweep
 from qkdcoex.decoy import dbm_to_mw
 from qkdcoex.errors import CalibrationError, ConfigError
@@ -87,10 +88,12 @@ class TestLaunchPower:
 
 class TestSweep:
     def test_grid_size(self):
-        rows = run_sweep(get_preset("smf"), SweepSpec(0.0, 100.0, 1.0))
-        assert len(rows) == 101
-        assert rows[0].distance_km == 0.0
-        assert rows[-1].distance_km == 100.0
+        for spec, size in ((SweepSpec(0.0, 100.0, 1.0), 101),
+                           (SweepSpec(0.0, 0.3, 0.1), 4)):
+            rows = run_sweep(get_preset("smf"), spec)
+            assert len(rows) == size
+            assert rows[0].distance_km == spec.from_km
+            assert rows[-1].distance_km == spec.to_km
 
     def test_single_point(self):
         rows = run_sweep(get_preset("smf"), SweepSpec(63.0, 63.0, 1.0))
@@ -128,6 +131,11 @@ class TestSweep:
             SweepSpec(10.0, 5.0, 1.0)
         with pytest.raises(ConfigError):
             SweepSpec(0.0, 5.0, 0.0)
+        for bad in ((math.nan, 5.0, 1.0), (0.0, math.nan, 1.0),
+                    (0.0, 5.0, math.nan), (0.0, math.inf, 1.0),
+                    (0.0, 5.0, math.inf), (-math.inf, 5.0, 1.0)):
+            with pytest.raises(ConfigError, match="finite"):
+                SweepSpec(*bad)
 
     def test_srs_matches_direct_formula(self):
         s = get_preset("smf")
@@ -290,6 +298,19 @@ class TestConfigLoading:
         assert evaluate_at(scenario, 86.0) == evaluate_at(preset, 86.0)
         sweep = load_sweep(path)
         assert sweep == SweepSpec(0.0, 20.0, 10.0)
+
+    def test_file_read_once_for_scenario_and_sweep(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "lp02in-custom.ini"
+        path.write_text(SCENARIO_INI, encoding="utf-8")
+        reads = []
+        read_ini = config._read_ini
+        monkeypatch.setattr(config, "_read_ini",
+                            lambda p: reads.append(p) or read_ini(p))
+        scenario, sweep = config._load_scenario_file(path)
+        assert reads == [path]
+        assert scenario == load_scenario(path)
+        assert sweep == load_sweep(path) == SweepSpec(0.0, 20.0, 10.0)
 
     def test_negative_attenuation_rejected(self, tmp_path):
         bad = SCENARIO_INI.replace("0.226", "-0.226")
