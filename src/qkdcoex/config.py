@@ -13,7 +13,7 @@ import configparser
 from pathlib import Path
 
 from .decoy import DecoyIntensities, DetectorSpec, ProtocolParams
-from .errors import ConfigError
+from .errors import ConfigError, _require_finite
 from .link import (Band, ComponentSpec, FiberKind, FiberSpec, LinkPlan, Mode,
                    MultiplexScheme, Side)
 from .raman import RamanCoefficient
@@ -45,11 +45,13 @@ class _Section:
         if raw is None or isinstance(raw, float):
             return raw
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(
                 f"[{self.name}] {key} = {raw!r} is not a number"
             ) from None
+        _require_finite(f"[{self.name}]", **{key: value})
+        return value
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
         raw = self._raw(key, default)

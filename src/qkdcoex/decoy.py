@@ -21,9 +21,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (ConfigError, DomainError, NoSecureDistanceError,
-                     UndefinedBoundError)
+                     UndefinedBoundError, _require_finite)
 
 _PROB_SUM_TOL = 1e-12
+# Largest distance grid a sweep or a cliff search builds; a larger one is
+# rejected before anything is evaluated.
+_MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,7 @@ class DecoyIntensities:
     p_omega: float = 1.0 / 8.0
 
     def __post_init__(self):
+        _require_finite("intensities", **vars(self))
         if not (self.mu > self.nu > self.omega):
             raise ConfigError(
                 f"intensities must satisfy mu > nu > omega, got "
@@ -66,6 +70,7 @@ class DetectorSpec:
     num_detectors: int = 4
 
     def __post_init__(self):
+        _require_finite("detector", **vars(self))
         if not 0.0 < self.efficiency <= 1.0:
             raise ConfigError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if not 0.0 <= self.dark_count_per_gate < 1.0:
@@ -97,6 +102,7 @@ class ProtocolParams:
     block_size_bits: int = 500_000
 
     def __post_init__(self):
+        _require_finite("protocol", **vars(self))
         if self.clock_hz <= 0.0:
             raise ConfigError(f"clock must be > 0 Hz, got {self.clock_hz}")
         if not 0.0 <= self.misalignment_error < 0.5:
@@ -197,14 +203,15 @@ def _e1_upper(enu: float, qnu: float, nu: float, y1: float,
 
 
 def _key_point(eta: float, y0: float, mu: float, nu: float, e0: float,
-               ed: float, f_ec: float, q_sift: float):
-    """Fused per-point evaluation of the asymptotic secure fraction.
+               ed: float, f_ec: float, q_sift: float, clock_hz: float,
+               p_mu: float):
+    """Fused per-point evaluation of the asymptotic secure key rate.
 
-    Returns (r_per_pulse, q_mu, e_mu, q_nu, e_nu, y1_lower, e1_upper, clamps)
-    where r_per_pulse = max(0, q_sift * (-Qmu*f*H2(Emu) + Q1*(1 - H2(e1)))),
-    before the clock and signal-emission multipliers. A vanishing yield
-    bound makes the rate zero with e1 pinned at 0.5. The gains repeat
-    `gain_and_qber` inline, which saves two calls per point.
+    Returns the `KeyRateBreakdown` fields in order, with rate_per_pulse =
+    max(0, q_sift * (-Qmu*f*H2(Emu) + Q1*(1 - H2(e1)))) and rate_bps =
+    rate_per_pulse * clock_hz * p_mu. A vanishing yield bound makes the rate
+    zero with e1 pinned at 0.5. The gains repeat `gain_and_qber` inline,
+    which saves two calls per point.
     """
     s_mu = -math.expm1(-eta * mu)
     qmu = y0 + s_mu
@@ -216,7 +223,7 @@ def _key_point(eta: float, y0: float, mu: float, nu: float, e0: float,
 
     y1, clamps = _y1_lower(qmu, qnu, mu, nu, y0)
     if y1 <= 0.0:
-        return 0.0, qmu, emu, qnu, enu, y1, 0.5, clamps + 1
+        return qmu, emu, qnu, enu, y1, 0.5, 0.0, 0.0, clamps + 1
 
     e1, c = _e1_upper(enu, qnu, nu, y1, y0, e0)
     clamps += c
@@ -225,7 +232,21 @@ def _key_point(eta: float, y0: float, mu: float, nu: float, e0: float,
     r = q_sift * (-qmu * f_ec * _h2(emu) + q1 * (1.0 - _h2(e1)))
     if r < 0.0:
         r = 0.0
-    return r, qmu, emu, qnu, enu, y1, e1, clamps
+    return qmu, emu, qnu, enu, y1, e1, r, r * clock_hz * p_mu, clamps
+
+
+def _kernel(intensities: DecoyIntensities, params: ProtocolParams):
+    """`_key_point` with its constants checked and bound once:
+    `key(eta, y0, ed, f)`, where ed and f default to those of `params`."""
+    mu, nu = intensities.mu, intensities.nu
+    if mu * nu - nu * nu == 0.0:
+        raise DomainError("degenerate intensities: mu*nu - nu^2 is zero")
+    e0, q_sift = params.background_error, params.sifting_factor
+    clock_hz, p_mu = params.clock_hz, intensities.p_mu
+
+    def key(eta, y0, ed=params.misalignment_error, f=params.ec_efficiency):
+        return _key_point(eta, y0, mu, nu, e0, ed, f, q_sift, clock_hz, p_mu)
+    return key
 
 
 def binary_entropy(x: float) -> float:
@@ -277,21 +298,7 @@ def e1_upper_bound(q_nu: float, e_nu: float, nu: float, y1_lower: float,
 def key_rate_details(ch: ChannelPoint, intensities: DecoyIntensities,
                      params: ProtocolParams) -> KeyRateBreakdown:
     """Full evaluation of the secure key rate with diagnostics."""
-    mu, nu = intensities.mu, intensities.nu
-    if mu * nu - nu * nu == 0.0:
-        raise DomainError("degenerate intensities: mu*nu - nu^2 is zero")
-    rpp, qmu, emu, qnu, enu, y1, e1, clamps = _key_point(
-        ch.eta, ch.y0, mu, nu,
-        params.background_error, params.misalignment_error,
-        params.ec_efficiency, params.sifting_factor,
-    )
-    return KeyRateBreakdown(
-        q_mu=qmu, e_mu=emu, q_nu=qnu, e_nu=enu,
-        y1_lower=y1, e1_upper=e1,
-        rate_per_pulse=rpp,
-        rate_bps=rpp * params.clock_hz * intensities.p_mu,
-        clamp_events=clamps,
-    )
+    return KeyRateBreakdown(*_kernel(intensities, params)(ch.eta, ch.y0))
 
 
 def secure_key_rate_bps(ch: ChannelPoint, intensities: DecoyIntensities,
@@ -308,7 +315,9 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
     Returns the range upper bound with `at_upper_boundary` set when the rate
     is still positive there. Raises NoSecureDistanceError when the rate is
     non-positive over the whole range. On a normal return d, the bracket
-    rate_fn(d) > 0 and rate_fn(d + resolution) <= 0 holds.
+    rate_fn(d) > 0 and rate_fn(d + resolution) <= 0 holds. A coarse grid
+    that would exceed _MAX_GRID_POINTS, or whose step does not advance at
+    float resolution, raises DomainError before rate_fn is called.
     """
     if not all(map(math.isfinite, (from_km, to_km, coarse_step_km, resolution_km))):
         raise DomainError(f"search range and steps must be finite, got "
@@ -317,11 +326,17 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
         raise DomainError(f"empty search range [{from_km}, {to_km}]")
     if coarse_step_km <= 0.0 or resolution_km <= 0.0:
         raise DomainError("steps must be > 0")
+    if (to_km - from_km) / coarse_step_km >= _MAX_GRID_POINTS:
+        raise DomainError(f"coarse grid over [{from_km}, {to_km}] km at "
+                          f"{coarse_step_km} km exceeds {_MAX_GRID_POINTS} points")
 
     grid = [from_km]
     d = from_km
     while d < to_km:
         d = min(d + coarse_step_km, to_km)
+        if d == grid[-1]:
+            raise DomainError(f"coarse step {coarse_step_km} km is below the "
+                              f"float resolution at {d} km")
         grid.append(d)
 
     positive = [rate_fn(d) > 0.0 for d in grid]

@@ -1,10 +1,13 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the finite check every input applies.
 
 Configuration and argument problems derive from ValueError so they behave
 naturally with code that validates inputs; failures of a computation that
 was asked to do something impossible derive from RuntimeError. The CLI maps
 the first group to exit code 1 and the second to exit code 2.
 """
+
+import math
+from collections.abc import Mapping
 
 
 class QkdCoexError(Exception):
@@ -39,3 +42,21 @@ class CalibrationError(ComputationError):
 
 class NoSecureDistanceError(ComputationError):
     """The key rate is non-positive over the entire search range."""
+
+
+def _floats(value):
+    """The floats in `value`: itself, or those inside a mapping or sequence."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (Mapping, tuple, list)):
+        for item in (value.values() if isinstance(value, Mapping) else value):
+            yield from _floats(item)
+
+
+def _require_finite(where: str, **values) -> None:
+    """Raise ConfigError naming the first value that holds a NaN or an
+    infinity; a range check alone lets NaN through (every comparison with it
+    is false)."""
+    for name, value in values.items():
+        if not all(map(math.isfinite, _floats(value))):
+            raise ConfigError(f"{where} {name} must be finite, got {value!r}")

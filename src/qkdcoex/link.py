@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _require_finite
 
 
 class Mode(enum.Enum):
@@ -122,6 +122,7 @@ class ComponentSpec:
     position: Side
 
     def __post_init__(self):
+        _require_finite(f"component {self.name!r}:", **vars(self))
         for mode, value in self.insertion_loss_db.items():
             if value < 0.0:
                 raise ConfigError(
@@ -185,6 +186,7 @@ class IsolationTable:
     lp02_in: Sequence[tuple[float, float]]
 
     def __post_init__(self):
+        _require_finite("isolation table", **vars(self))
         for label, rows in (("lp01in", self.lp01_in), ("lp02in", self.lp02_in)):
             if not rows:
                 raise ConfigError(f"isolation table {label}: no rows")
@@ -226,6 +228,7 @@ class LinkPlan:
     classical_path_components: tuple[ComponentSpec, ...] = field(default=())
 
     def __post_init__(self):
+        _require_finite("link", **vars(self))
         if self.length_km < 0.0:
             raise ConfigError(f"link length must be >= 0 km, got {self.length_km}")
         if self.fiber.kind is FiberKind.SMF and self.scheme.name is not SchemeName.SMF:
@@ -236,24 +239,31 @@ class LinkPlan:
             raise ConfigError("scheme smf requires an SMF link")
         # Fail fast if a component lacks the mode its path uses.
         for channel in Band:
-            mode = self.scheme.mode_for(channel)
-            self.fiber.attenuation(mode, channel)
-            for comp in self._components(channel):
-                comp.loss_for(mode)
+            _path(self, channel)
 
-    def _components(self, channel: Band) -> tuple[ComponentSpec, ...]:
-        return (self.quantum_path_components if channel is Band.QUANTUM
-                else self.classical_path_components)
+
+def _path(plan: LinkPlan, channel: Band) -> tuple[float, tuple[float, ...]]:
+    """Attenuation and ordered insertion losses of one channel's path."""
+    mode = plan.scheme.mode_for(channel)
+    components = (plan.quantum_path_components if channel is Band.QUANTUM
+                  else plan.classical_path_components)
+    return (plan.fiber.attenuation(mode, channel),
+            tuple(comp.loss_for(mode) for comp in components))
+
+
+def _path_loss_db(alpha_db_per_km: float, insertion_losses_db: tuple[float, ...],
+                  length_km: float) -> float:
+    """alpha*L, then each insertion loss added in order (never pre-summed)."""
+    loss = alpha_db_per_km * length_km
+    for il in insertion_losses_db:
+        loss += il
+    return loss
 
 
 def total_loss_db(plan: LinkPlan, channel: Band) -> float:
     """End-to-end loss of one channel: fiber attenuation times length plus
     the insertion losses along that channel's path."""
-    mode = plan.scheme.mode_for(channel)
-    loss = plan.fiber.attenuation(mode, channel) * plan.length_km
-    for comp in plan._components(channel):
-        loss += comp.loss_for(mode)
-    return loss
+    return _path_loss_db(*_path(plan, channel), plan.length_km)
 
 
 def transmittance(loss_db: float) -> float:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, DegenerateFitError, DomainError
+from .errors import (ConfigError, DegenerateFitError, DomainError,
+                     _require_finite)
 from .link import SchemeName
 
 
@@ -32,6 +33,7 @@ class RamanCoefficient:
     scheme: SchemeName | None = None
 
     def __post_init__(self):
+        _require_finite("Raman coefficient", **vars(self))
         if self.rho_cps_per_mw_km <= 0.0:
             raise ConfigError(
                 f"Raman coefficient must be > 0, got {self.rho_cps_per_mw_km}"
@@ -47,6 +49,7 @@ class NoiseMeasurement:
     measured_rate_cps: float
 
     def __post_init__(self):
+        _require_finite("measurement", **vars(self))
         for name in ("distance_km", "fiber_input_power_mw", "measured_rate_cps"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -2,10 +2,10 @@
 runs distance sweeps, calibrates free parameters against reference
 operating points, and emits result tables.
 
-Scenarios are immutable; every evaluation is a pure function of
-(scenario, distance), so rows may be computed in any order. Sweeps are
-evaluated in ascending distance and are deterministic: identical inputs
-produce byte-identical output files.
+Scenarios are immutable; each call resolves its scenario once, and every
+point is then a pure function of the distance, so rows may be computed in
+any order. Sweeps are evaluated in ascending distance and are
+deterministic: identical inputs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
-                    DistanceResult, ProtocolParams, _key_point,
-                    background_yield, dbm_to_mw, find_rate_cliff,
-                    key_rate_details)
-from .errors import CalibrationError, ComputationError, ConfigError
-from .link import Band, LinkPlan, total_loss_db, transmittance
-from .raman import RamanCoefficient, srs_noise_rate_cps
+from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
+                    DetectorSpec, DistanceResult, ProtocolParams, _kernel,
+                    background_yield, dbm_to_mw, find_rate_cliff)
+from .errors import (CalibrationError, ComputationError, ConfigError,
+                     _require_finite)
+from .link import Band, LinkPlan, _path, _path_loss_db, transmittance
+from .raman import RamanCoefficient, _srs_rate
 
 RESULT_FIELDS = (
     "distance_km", "launch_power_dbm", "quantum_loss_db", "classical_loss_db",
@@ -33,6 +33,7 @@ RESULT_FIELDS = (
 )
 
 _FEASIBILITY_TOL_DB = 1e-9
+_Y0_MAX = math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,7 @@ class Scenario:
     noise_divisor: str = "clock"
 
     def __post_init__(self):
+        _require_finite("scenario", **vars(self))
         if self.noise_divisor not in ("clock", "gate"):
             raise ConfigError(
                 f"noise divisor must be 'clock' or 'gate', got "
@@ -77,9 +79,7 @@ class SweepSpec:
     step_km: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.from_km, self.to_km, self.step_km))):
-            raise ConfigError(f"sweep range and step must be finite, got "
-                              f"{self.from_km}, {self.to_km}, {self.step_km}")
+        _require_finite("sweep", **vars(self))
         if self.from_km > self.to_km:
             raise ConfigError(
                 f"sweep range is empty: from {self.from_km} to {self.to_km}"
@@ -88,9 +88,16 @@ class SweepSpec:
             raise ConfigError(f"sweep step must be > 0, got {self.step_km}")
         if self.from_km < 0.0:
             raise ConfigError(f"sweep start must be >= 0, got {self.from_km}")
+        if self._span() >= _MAX_GRID_POINTS:
+            raise ConfigError(f"sweep from {self.from_km} to {self.to_km} at "
+                              f"{self.step_km} km exceeds {_MAX_GRID_POINTS} points")
+
+    def _span(self) -> float:
+        """Steps from start to end; the grid has floor(span) + 1 points."""
+        return (self.to_km - self.from_km) / self.step_km + 1e-9
 
     def distances(self) -> list[float]:
-        n = int(math.floor((self.to_km - self.from_km) / self.step_km + 1e-9)) + 1
+        n = int(math.floor(self._span())) + 1
         return [min(self.from_km + i * self.step_km, self.to_km)
                 for i in range(n)]
 
@@ -131,6 +138,44 @@ class ChannelState:
         return ChannelPoint(self.eta, self.y0)
 
 
+def _resolve(scenario: Scenario):
+    """Validate once; return `(channel, key)`: `channel(d)` gives the
+    `ChannelState` fields after `distance_km` by float arithmetic only, in
+    the operation order of the per-step functions, and `key` the kernel."""
+    alpha_q, il_q = _path(scenario.link, Band.QUANTUM)
+    alpha_c, il_c = _path(scenario.link, Band.CLASSICAL)
+    alpha_r = alpha_q if scenario.raman_alpha_basis is Band.QUANTUM else alpha_c
+    rho = scenario.raman.rho_cps_per_mw_km
+    cap = scenario.classical_launch_power_dbm
+    sensitivity = scenario.receiver_sensitivity_dbm
+    adaptive = scenario.adaptive_power
+    detector, protocol = scenario.detector, scenario.protocol
+    divisor = detector.gate_hz if scenario.noise_divisor == "gate" else None
+    efficiency = detector.efficiency
+
+    def channel(d: float) -> tuple:
+        if d < 0.0:
+            raise ConfigError(f"link length must be >= 0 km, got {d}")
+        quantum_loss = _path_loss_db(alpha_q, il_q, d)
+        classical_loss = _path_loss_db(alpha_c, il_c, d)
+        needed = classical_loss + sensitivity
+        launch = min(needed, cap) if adaptive else cap
+        srs = _srs_rate(dbm_to_mw(launch), rho, d, alpha_r)
+        y0 = background_yield(detector, protocol, srs, divisor)
+        return (quantum_loss, classical_loss, needed, launch, srs,
+                min(y0, _Y0_MAX), transmittance(quantum_loss) * efficiency,
+                launch + _FEASIBILITY_TOL_DB >= needed)
+
+    return channel, _kernel(scenario.intensities, protocol)
+
+
+def _row(channel, key, d: float) -> ResultRow:
+    quantum_loss, classical_loss, _, launch, srs, y0, eta, feasible = channel(d)
+    qmu, emu, _, _, y1, e1, _, rate, _ = key(eta, y0)
+    return ResultRow(d, launch, quantum_loss, classical_loss, srs, y0, qmu,
+                     emu, y1, e1, rate, feasible)
+
+
 def launch_power_dbm(scenario: Scenario, distance_km: float) -> float:
     """Classical launch power used at this distance (fixed or adaptive)."""
     return channel_state(scenario, distance_km).launch_power_dbm
@@ -138,70 +183,30 @@ def launch_power_dbm(scenario: Scenario, distance_km: float) -> float:
 
 def channel_state(scenario: Scenario, distance_km: float) -> ChannelState:
     """Evaluate the link budget and background yield at one distance."""
-    plan = replace(scenario.link, length_km=distance_km)
-    quantum_loss = total_loss_db(plan, Band.QUANTUM)
-    classical_loss = total_loss_db(plan, Band.CLASSICAL)
-    needed = classical_loss + scenario.receiver_sensitivity_dbm
-    launch = (min(needed, scenario.classical_launch_power_dbm)
-              if scenario.adaptive_power
-              else scenario.classical_launch_power_dbm)
-
-    alpha_band = scenario.raman_alpha_basis
-    alpha = plan.fiber.attenuation(plan.scheme.mode_for(alpha_band), alpha_band)
-    srs = srs_noise_rate_cps(dbm_to_mw(launch), scenario.raman,
-                             distance_km, alpha)
-
-    divisor = (scenario.detector.gate_hz if scenario.noise_divisor == "gate"
-               else None)
-    y0 = background_yield(scenario.detector, scenario.protocol, srs,
-                          per_pulse_divisor_hz=divisor)
-    eta = transmittance(quantum_loss) * scenario.detector.efficiency
-    return ChannelState(
-        distance_km=distance_km,
-        quantum_loss_db=quantum_loss,
-        classical_loss_db=classical_loss,
-        min_launch_power_dbm=needed,
-        launch_power_dbm=launch,
-        srs_rate_cps=srs,
-        y0=min(y0, math.nextafter(1.0, 0.0)),
-        eta=eta,
-        classical_feasible=launch + _FEASIBILITY_TOL_DB >= needed,
-    )
+    channel, _ = _resolve(scenario)
+    return ChannelState(distance_km, *channel(distance_km))
 
 
 def evaluate_at(scenario: Scenario, distance_km: float) -> ResultRow:
     """One full sweep point: link budget, noise, decoy bounds, key rate."""
-    state = channel_state(scenario, distance_km)
-    detail = key_rate_details(state.channel_point(), scenario.intensities,
-                              scenario.protocol)
-    return ResultRow(
-        distance_km=distance_km,
-        launch_power_dbm=state.launch_power_dbm,
-        quantum_loss_db=state.quantum_loss_db,
-        classical_loss_db=state.classical_loss_db,
-        srs_rate_cps=state.srs_rate_cps,
-        y0=state.y0,
-        q_mu=detail.q_mu,
-        e_mu=detail.e_mu,
-        y1_lower=detail.y1_lower,
-        e1_upper=detail.e1_upper,
-        key_rate_bps=detail.rate_bps,
-        classical_feasible=state.classical_feasible,
-    )
+    return _row(*_resolve(scenario), distance_km)
 
 
 def run_sweep(scenario: Scenario, sweep: SweepSpec) -> list[ResultRow]:
     """Evaluate the scenario on the sweep grid, in ascending distance."""
-    rows = []
-    for d in sweep.distances():
-        try:
-            rows.append(evaluate_at(scenario, d))
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ComputationError(
-                f"sweep of {scenario.name!r} failed at {d} km: {exc}"
-            ) from exc
+    distances = sweep.distances()
+    # A scenario that fails to resolve is reported at the first point.
+    rows, d = [], distances[0]
+    try:
+        channel, key = _resolve(scenario)
+        for d in distances:
+            rows.append(_row(channel, key, d))
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ComputationError(
+            f"sweep of {scenario.name!r} failed at {d} km: {exc}"
+        ) from exc
     return rows
 
 
@@ -257,12 +262,13 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
     require_classical_feasible=False for the rate-only cliff.
     """
 
+    channel, key = _resolve(scenario)
+
     def rate(d: float) -> float:
-        state = channel_state(scenario, d)
-        if require_classical_feasible and not state.classical_feasible:
+        _, _, _, _, _, y0, eta, feasible = channel(d)
+        if require_classical_feasible and not feasible:
             return 0.0
-        return key_rate_details(state.channel_point(), scenario.intensities,
-                                scenario.protocol).rate_bps
+        return key(eta, y0)[7]
 
     return find_rate_cliff(rate, from_km, to_km, coarse_step_km, resolution_km)
 
@@ -279,6 +285,7 @@ class CalibrationTarget:
     qber: float
 
     def __post_init__(self):
+        _require_finite("target", **vars(self))
         if self.distance_km < 0.0:
             raise ConfigError(f"target distance must be >= 0, got {self.distance_km}")
         if self.key_rate_bps <= 0.0:
@@ -373,21 +380,20 @@ def calibrate(scenarios: Sequence[Scenario],
             f"got {len(scenarios)} scenarios for {len(targets)} targets"
         )
 
-    states = [channel_state(s, t.distance_km)
-              for s, t in zip(scenarios, targets)]
+    points = []   # per target: its bound kernel and (eta, y0) at its distance
+    for scen, tgt in zip(scenarios, targets):
+        channel, key = _resolve(scen)
+        _, _, _, _, _, y0, eta, _ = channel(tgt.distance_km)
+        points.append((key, eta, y0, math.log(tgt.key_rate_bps), tgt.qber))
 
     def objective(ed: float, f: float) -> float:
         total = 0.0
-        for scen, st, tgt in zip(scenarios, states, targets):
-            p = scen.protocol
-            rpp, _, emu, _, _, _, _, _ = _key_point(
-                st.eta, st.y0, scen.intensities.mu, scen.intensities.nu,
-                p.background_error, ed, f, p.sifting_factor)
-            rate = rpp * p.clock_hz * scen.intensities.p_mu
+        for key, eta, y0, log_rate, qber in points:
+            _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
             if rate <= 0.0:
                 return math.inf
-            total += ((math.log(rate) - math.log(tgt.key_rate_bps)) ** 2
-                      + ((emu - tgt.qber) / 0.005) ** 2)
+            total += ((math.log(rate) - log_rate) ** 2
+                      + ((emu - qber) / 0.005) ** 2)
         return total
 
     n_ed = int(round((ED_BOUNDS[1] - ED_BOUNDS[0]) / ED_STEP)) + 1
@@ -420,15 +426,14 @@ def calibrate(scenarios: Sequence[Scenario],
         refined = best[0]
 
     residuals = []
-    for scen, tgt in zip(scenarios, targets):
-        calibrated = apply_calibration(scen, ed, f)
-        row = evaluate_at(calibrated, tgt.distance_km)
+    for scen, tgt, (key, eta, y0, _, _) in zip(scenarios, targets, points):
+        _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
         residuals.append(TargetResidual(
             scenario=scen.name,
             distance_km=tgt.distance_km,
-            key_rate_bps=row.key_rate_bps,
+            key_rate_bps=rate,
             target_rate_bps=tgt.key_rate_bps,
-            qber=row.e_mu,
+            qber=emu,
             target_qber=tgt.qber,
         ))
     return CalibrationReport(

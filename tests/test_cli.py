@@ -151,3 +151,25 @@ def test_non_finite_distance_exit_1(verb, flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_non_finite_scenario_value_exit_1(tmp_path, capsys):
+    path = tmp_path / "nan-power.ini"
+    path.write_text(SCENARIO_INI + "\n[classical]\nlaunch_power_dbm = nan\n",
+                    encoding="utf-8")
+    assert main(["sweep", "--scenario", str(path), "--from-km", "50",
+                 "--to-km", "50", "--step-km", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "launch_power_dbm must be finite" in captured.err
+
+
+# Rejected from the computed grid size, before any grid is built.
+@pytest.mark.parametrize("argv", (
+    ["sweep", "--preset", "smf", "--to-km", "1e-200", "--step-km", "1e-300"],
+    ["max-distance", "--preset", "smf", "--to-km", "1e9"]))
+def test_oversized_grid_exit_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1000000 points" in captured.err

@@ -285,6 +285,20 @@ class TestMaxDistance:
         with pytest.raises(DomainError, match="finite"):
             find_rate_cliff(lambda d: 50.0 - d, *args)
 
+    # Both grids would grow without bound; each is refused before the rate
+    # is evaluated, the first from its computed size.
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 1e9, 1.0, 0.01), "exceeds 1000000 points"),
+        ((0.0, 1e6, 1.0, 0.01), "exceeds 1000000 points"),
+        ((1e17, 1e17 + 1000.0, 1.0, 0.01), "below the float resolution"),
+    ])
+    def test_unbounded_grid_rejected(self, args, message):
+        def rate(d):
+            raise AssertionError("rate evaluated")
+
+        with pytest.raises(DomainError, match=message):
+            find_rate_cliff(rate, *args)
+
 
 class TestBackgroundYield:
     def test_dark_composition(self):

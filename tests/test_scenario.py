@@ -10,9 +10,10 @@ from qkdcoex.errors import CalibrationError, ConfigError
 from qkdcoex.link import Band, Mode, SchemeName
 from qkdcoex.presets import REFERENCE_TARGETS, get_preset, preset_names
 from qkdcoex.scenario import (CalibrationTarget, SweepSpec, apply_calibration,
-                              calibrate, emit_results, evaluate_at,
-                              launch_power_dbm, max_secure_distance,
-                              rows_to_csv, rows_to_json, run_sweep)
+                              calibrate, channel_state, emit_results,
+                              evaluate_at, launch_power_dbm,
+                              max_secure_distance, rows_to_csv, rows_to_json,
+                              run_sweep)
 
 EXPECTED_HEADER = ("distance_km,launch_power_dbm,quantum_loss_db,"
                    "classical_loss_db,srs_rate_cps,y0,q_mu,e_mu,y1_lower,"
@@ -96,9 +97,26 @@ class TestSweep:
             assert rows[-1].distance_km == spec.to_km
 
     def test_single_point(self):
-        rows = run_sweep(get_preset("smf"), SweepSpec(63.0, 63.0, 1.0))
-        assert len(rows) == 1
-        assert rows[0] == evaluate_at(get_preset("smf"), 63.0)
+        # A sweep resolves its scenario once; each row must equal the one a
+        # per-call evaluate_at gives, and share its fields with
+        # channel_state and launch_power_dbm.
+        for name in preset_names():
+            scenario = get_preset(name)
+            for d in (0.0, 0.01, 63.0, 91.44, 179.09, 250.0, 300.0):
+                rows = run_sweep(scenario, SweepSpec(d, d, 1.0))
+                assert rows == [evaluate_at(scenario, d)]
+                state = channel_state(scenario, d)
+                assert launch_power_dbm(scenario, d) == state.launch_power_dbm
+                assert (state.distance_km, state.launch_power_dbm,
+                        state.quantum_loss_db, state.classical_loss_db,
+                        state.srs_rate_cps, state.y0,
+                        state.classical_feasible) == (
+                    rows[0].distance_km, rows[0].launch_power_dbm,
+                    rows[0].quantum_loss_db, rows[0].classical_loss_db,
+                    rows[0].srs_rate_cps, rows[0].y0,
+                    rows[0].classical_feasible)
+                assert state.min_launch_power_dbm == (
+                    state.classical_loss_db + scenario.receiver_sensitivity_dbm)
 
     def test_ascending_distance(self):
         rows = run_sweep(get_preset("lp01in"), SweepSpec(0.0, 50.0, 2.5))
@@ -136,6 +154,13 @@ class TestSweep:
                     (0.0, 5.0, math.inf), (-math.inf, 5.0, 1.0)):
             with pytest.raises(ConfigError, match="finite"):
                 SweepSpec(*bad)
+
+    def test_grid_size_cap(self):
+        # Checked from the computed size alone: no grid is built here.
+        SweepSpec(0.0, 999_999.0, 1.0)      # 1,000,000 points: allowed
+        for spec in ((0.0, 1_000_000.0, 1.0), (0.0, 1e-200, 1e-300)):
+            with pytest.raises(ConfigError, match="exceeds 1000000 points"):
+                SweepSpec(*spec)
 
     def test_srs_matches_direct_formula(self):
         s = get_preset("smf")
@@ -194,6 +219,16 @@ class TestEmission:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_results([], "xml", tmp_path / "x.xml")
+
+
+class TestNegativeDistance:
+    @pytest.mark.parametrize("evaluate", [
+        channel_state, evaluate_at, launch_power_dbm,
+        lambda s, d: max_secure_distance(s, from_km=d)])
+    @pytest.mark.parametrize("name", ["smf", "fig4-full"])
+    def test_rejected(self, evaluate, name):
+        with pytest.raises(ConfigError, match="link length must be >= 0"):
+            evaluate(get_preset(name), -1.0)
 
 
 class TestMaxDistance:
