@@ -15,9 +15,8 @@ from . import presets as presets_mod
 from .config import _load_scenario_file
 from .errors import ComputationError, QkdCoexError
 from .raman import fit_raman_coefficient, read_measurements_csv
-from .scenario import (Scenario, SweepSpec, calibrate, emit_results,
-                       max_secure_distance, rows_to_csv, rows_to_json,
-                       run_sweep)
+from .scenario import (Scenario, SweepSpec, _chunks, _sweep_table,
+                       _write_table, calibrate, max_secure_distance)
 
 _DEFAULT_SWEEP = SweepSpec(0.0, 100.0, 1.0)
 
@@ -111,12 +110,13 @@ def _cmd_sweep(args) -> int:
         )
     else:
         sweep = file_sweep or _DEFAULT_SWEEP
-    rows = run_sweep(scenario, sweep)
+    # The whole table is computed before any output, so a failed sweep
+    # leaves no --out file.
+    table = _sweep_table(scenario, sweep)
     if args.out:
-        emit_results(rows, args.format, args.out)
+        _write_table(table, args.format, args.out)
     else:
-        text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-        sys.stdout.write(text)
+        sys.stdout.writelines(_chunks(table, args.format))
     return 0
 
 

@@ -57,8 +57,22 @@ class NoiseMeasurement:
 
 def _srs_rate(power_mw: float, rho: float, length_km: float,
               alpha_db_per_km: float) -> float:
-    """Forward-scattered Raman count rate: power * rho * L, attenuated over L."""
-    return power_mw * rho * length_km * 10.0 ** (-alpha_db_per_km * length_km / 10.0)
+    """Forward-scattered Raman count rate: power * rho * L, attenuated over L.
+
+    Where `power * rho * L` overflows (near 1e304 km for the presets), the
+    attenuation has long underflowed to 0.0 and the product would be
+    `inf * 0.0 = nan`. The rate is then recomputed with `L * att` grouped
+    first, which gives the physical 0.0. Finite rates keep the first
+    operation order, and so their bytes.
+    """
+    att = 10.0 ** (-alpha_db_per_km * length_km / 10.0)
+    rate = power_mw * rho * length_km * att
+    if not math.isfinite(rate):
+        rate = power_mw * rho * (length_km * att)
+        if not math.isfinite(rate):
+            raise DomainError(f"Raman rate overflows at {power_mw} mW over "
+                              f"{length_km} km")
+    return rate
 
 
 def srs_noise_rate_cps(power_mw: float, rho: RamanCoefficient,

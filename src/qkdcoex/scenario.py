@@ -10,8 +10,10 @@ deterministic: identical inputs produce byte-identical output files.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -169,11 +171,12 @@ def _resolve(scenario: Scenario):
     return channel, _kernel(scenario.intensities, protocol)
 
 
-def _row(channel, key, d: float) -> ResultRow:
+def _point(channel, key, d: float) -> tuple:
+    """The `ResultRow` fields at `d`, in `RESULT_FIELDS` order."""
     quantum_loss, classical_loss, _, launch, srs, y0, eta, feasible = channel(d)
     qmu, emu, _, _, y1, e1, _, rate, _ = key(eta, y0)
-    return ResultRow(d, launch, quantum_loss, classical_loss, srs, y0, qmu,
-                     emu, y1, e1, rate, feasible)
+    return (d, launch, quantum_loss, classical_loss, srs, y0, qmu, emu, y1,
+            e1, rate, feasible)
 
 
 def launch_power_dbm(scenario: Scenario, distance_km: float) -> float:
@@ -189,61 +192,127 @@ def channel_state(scenario: Scenario, distance_km: float) -> ChannelState:
 
 def evaluate_at(scenario: Scenario, distance_km: float) -> ResultRow:
     """One full sweep point: link budget, noise, decoy bounds, key rate."""
-    return _row(*_resolve(scenario), distance_km)
+    return ResultRow(*_point(*_resolve(scenario), distance_km))
 
 
-def run_sweep(scenario: Scenario, sweep: SweepSpec) -> list[ResultRow]:
-    """Evaluate the scenario on the sweep grid, in ascending distance."""
+def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[tuple]:
+    """One `_point` tuple per grid point, in ascending distance."""
     distances = sweep.distances()
     # A scenario that fails to resolve is reported at the first point.
-    rows, d = [], distances[0]
+    table, d = [], distances[0]
     try:
         channel, key = _resolve(scenario)
         for d in distances:
-            rows.append(_row(channel, key, d))
+            table.append(_point(channel, key, d))
     except ConfigError:
         raise
     except Exception as exc:
         raise ComputationError(
             f"sweep of {scenario.name!r} failed at {d} km: {exc}"
         ) from exc
-    return rows
+    return table
+
+
+def run_sweep(scenario: Scenario, sweep: SweepSpec) -> list[ResultRow]:
+    """Evaluate the scenario on the sweep grid, in ascending distance."""
+    return [ResultRow(*t) for t in _sweep_table(scenario, sweep)]
 
 
 # ---------------------------------------------------------------------------
 # result emission
+#
+# A table is a list of `_point` tuples. It is written a chunk of rows at a
+# time, each chunk formatted one column at a time, so the output is not held
+# as one string; the exception is the JSON of a table holding a NaN, an
+# infinity or a numpy scalar, which json writes in one piece. The bytes are
+# those of `np.format_float_scientific(v, unique=True)` per CSV value and of
+# `json.dumps(payload, indent=2) + "\n"`.
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return np.format_float_scientific(value, unique=True)
+def _scientific():
+    """numpy's Dragon4 formatter without the argument checks of its public
+    wrapper `np.format_float_scientific` (the fallback): the same strings."""
+    for module in ("numpy._core.multiarray", "numpy.core.multiarray"):
+        try:
+            return importlib.import_module(module).dragon4_scientific
+        except (ImportError, AttributeError):
+            pass
+    return np.format_float_scientific
+
+
+_SCIENTIFIC = _scientific()
+_CHUNK_ROWS = 4096
+_CSV_HEADER = ",".join(RESULT_FIELDS) + "\n"
+_CSV_ROW = ",".join(["%s"] * len(RESULT_FIELDS)) + "\n"
+# What json.dumps(indent=2) writes for one row: repr for each number, as
+# json does for finite floats and ints (_PLAIN), and the bool spelled out.
+_JSON_ROW = "  {\n%s\n  }" % ",\n".join(
+    [f'    "{f}": %r' for f in RESULT_FIELDS[:-1]]
+    + [f'    "{RESULT_FIELDS[-1]}": %s'])
+_PLAIN = {float, int}
+_BOOL = {True: "true", False: "false"}
+
+
+def _csv_chunks(table: list[tuple]):
+    yield _CSV_HEADER
+    for start in range(0, len(table), _CHUNK_ROWS):
+        *numbers, feasible = zip(*table[start:start + _CHUNK_ROWS])
+        columns = [[_SCIENTIFIC(v, unique=True) for v in col]
+                   for col in numbers]
+        columns.append([_BOOL[f] for f in feasible])
+        yield "".join(map(_CSV_ROW.__mod__, zip(*columns)))
+
+
+def _json_chunks(table: list[tuple]):
+    columns = list(zip(*table))
+    if not table or not all(set(map(type, col)) <= _PLAIN
+                            and all(map(math.isfinite, col))
+                            for col in columns[:-1]):
+        # [], NaN, infinities and numpy scalars as json writes them.
+        payload = [dict(zip(RESULT_FIELDS, row)) for row in table]
+        yield json.dumps(payload, indent=2) + "\n"
+        return
+    for start in range(0, len(table), _CHUNK_ROWS):
+        *numbers, feasible = zip(*table[start:start + _CHUNK_ROWS])
+        rows = zip(*numbers, [_BOOL[f] for f in feasible])
+        yield (("[\n" if start == 0 else ",\n")
+               + ",\n".join(map(_JSON_ROW.__mod__, rows)))
+    yield "\n]\n"
+
+
+def _chunks(table: list[tuple], format: str):
+    """The text of `table` in `format`, as successive pieces."""
+    if format == "csv":
+        return _csv_chunks(table)
+    if format == "json":
+        return _json_chunks(table)
+    raise ConfigError(f"unknown output format {format!r}")
+
+
+def _write_table(table: list[tuple], format: str, path: str | Path) -> None:
+    chunks = _chunks(table, format)   # an unknown format creates no file
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ComputationError(f"cannot write results to {path}: {exc}") from exc
+
+
+def _table(rows: Sequence[ResultRow]) -> list[tuple]:
+    return list(map(operator.attrgetter(*RESULT_FIELDS), rows))
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
-    lines = [",".join(RESULT_FIELDS)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, f)) for f in RESULT_FIELDS))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(_table(rows)))
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
-    payload = [{f: getattr(row, f) for f in RESULT_FIELDS} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join(_json_chunks(_table(rows)))
 
 
 def emit_results(rows: Sequence[ResultRow], format: str,
                  path: str | Path) -> None:
     """Write rows as CSV or JSON; numbers keep full round-trip precision."""
-    if format == "csv":
-        text = rows_to_csv(rows)
-    elif format == "json":
-        text = rows_to_json(rows)
-    else:
-        raise ConfigError(f"unknown output format {format!r}")
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ComputationError(f"cannot write results to {path}: {exc}") from exc
+    _write_table(_table(rows), format, path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -173,3 +174,14 @@ def test_oversized_grid_exit_1(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "1000000 points" in captured.err
+
+
+def test_sweep_astronomical_distance_finite(capsys):
+    # power*rho*L overflows here; the attenuation has underflowed to 0.0.
+    assert main(["sweep", "--preset", "smf", "--from-km", "1e306",
+                 "--to-km", "1e306", "--step-km", "1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["srs_rate_cps"] == "0.e+00"
+    assert all(math.isfinite(float(v)) for k, v in fields.items()
+               if k != "classical_feasible")

@@ -1,0 +1,131 @@
+"""Result emission: the column-wise, chunked writers against the per-row
+formatters they replaced, and the CLI's writing contract.
+
+The oracle below is the earlier emitter, kept as the reference: every value
+through `np.format_float_scientific(v, unique=True)` for CSV, and
+`json.dumps(payload, indent=2) + "\\n"` for JSON.
+"""
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from qkdcoex import scenario
+from qkdcoex.cli import main
+from qkdcoex.errors import ConfigError
+from qkdcoex.scenario import (RESULT_FIELDS, ResultRow, SweepSpec,
+                              emit_results, rows_to_csv, rows_to_json,
+                              run_sweep)
+from qkdcoex.presets import get_preset
+
+CORPUS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+          2.225073858507201e-308, 1e-300, -1e-300, 1e300, -1e300,
+          1.7976931348623157e308, 1.0, 2.0, -3.0, 1e16, 123456789.0, 0.1,
+          0.5, 9.999999999999999e-01, float("nan"), float("inf"),
+          float("-inf"), 0, 7, -12, 2**53]
+
+
+def _oracle_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return np.format_float_scientific(value, unique=True)
+
+
+def oracle_csv(rows) -> str:
+    lines = [",".join(RESULT_FIELDS)]
+    for row in rows:
+        lines.append(",".join(_oracle_fmt(getattr(row, f))
+                              for f in RESULT_FIELDS))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json(rows) -> str:
+    payload = [{f: getattr(row, f) for f in RESULT_FIELDS} for row in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+numbers = st.one_of(
+    st.sampled_from(CORPUS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e18, max_value=1e18).map(float.__floor__).map(float),
+    st.integers(-2**53, 2**53),
+)
+result_rows = st.builds(ResultRow, *[numbers] * 11, st.booleans())
+
+
+@given(rows=st.lists(result_rows, max_size=12),
+       chunk=st.sampled_from([1, 3, 4096]))
+def test_emitters_match_oracle(rows, chunk):
+    # Small chunks put chunk joins, and non-finite values, between chunks.
+    with mock.patch.object(scenario, "_CHUNK_ROWS", chunk):
+        assert rows_to_csv(rows) == oracle_csv(rows)
+        assert rows_to_json(rows) == oracle_json(rows)
+
+
+def test_finite_numpy_scalars_match_oracle():
+    rows = [ResultRow(*map(np.float64, CORPUS[:11]), True),
+            ResultRow(*map(np.float64, CORPUS[8:19]), False)]
+    assert all(map(np.isfinite, CORPUS[:19]))
+    assert rows_to_csv(rows) == oracle_csv(rows)
+    assert rows_to_json(rows) == oracle_json(rows)
+
+
+@pytest.mark.parametrize("preset", ["smf", "fig4-full"])
+def test_integer_distance_grid_matches_oracle(preset):
+    rows = run_sweep(get_preset(preset), SweepSpec(0, 300, 7))
+    assert type(rows[0].distance_km) is int
+    assert rows_to_csv(rows) == oracle_csv(rows)
+    assert rows_to_json(rows) == oracle_json(rows)
+
+
+@given(value=st.one_of(st.sampled_from(CORPUS),
+                       st.floats(allow_nan=True, allow_infinity=True)))
+def test_resolved_formatter_matches_public(value):
+    assert (scenario._SCIENTIFIC(value, unique=True)
+            == np.format_float_scientific(value, unique=True))
+
+
+def test_private_formatter_resolved():
+    assert scenario._SCIENTIFIC.__name__ == "dragon4_scientific"
+
+
+def test_formatter_falls_back_to_public():
+    with mock.patch("importlib.import_module", side_effect=ImportError):
+        assert scenario._scientific() is np.format_float_scientific
+
+
+def test_unknown_format_creates_no_file(tmp_path):
+    path = tmp_path / "rows.xml"
+    rows = run_sweep(get_preset("smf"), SweepSpec(0.0, 2.0, 1.0))
+    with pytest.raises(ConfigError, match="unknown output format"):
+        emit_results(rows, "xml", path)
+    assert not path.exists()
+
+
+def test_failed_sweep_leaves_no_file(tmp_path, capsys):
+    ini = tmp_path / "overflow.ini"
+    ini.write_text("[fiber]\nkind = smf\nscheme = smf\n"
+                   "attenuation_quantum_db_per_km = 0.190\n"
+                   "attenuation_classical_db_per_km = 0.192\n"
+                   "[components]\nmux_il_db = 0.49\ndemux_il_db = 0.36\n"
+                   "[raman]\ncoefficient_cps_per_mw_km = 12076\n"
+                   "[classical]\nlaunch_power_dbm = 4000\n", encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--scenario", str(ini), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "computation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_and_file_bytes_equal(fmt, tmp_path, capsysbinary):
+    # 6,001 rows: more than one chunk.
+    argv = ["sweep", "--preset", "fig4-full", "--from-km", "0", "--to-km",
+            "300", "--step-km", "0.05", "--format", fmt]
+    out = tmp_path / f"rows.{fmt}"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    assert len(SweepSpec(0.0, 300.0, 0.05).distances()) > scenario._CHUNK_ROWS

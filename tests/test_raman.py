@@ -33,6 +33,16 @@ class TestNoiseRate:
         with pytest.raises(DomainError):
             srs_noise_rate_cps(1.0, SMF_RHO, -50.0, 0.190)
 
+    @pytest.mark.parametrize("length", [1e300, 1e306, sys.float_info.max])
+    def test_astronomical_distance_is_zero(self, length):
+        # power*rho*L overflows to inf while the attenuation is 0.0.
+        assert srs_noise_rate_cps(POWER_MW, SMF_RHO, length, 0.190) == 0.0
+
+    def test_overflowing_rate_rejected(self):
+        # Unattenuated, the rate itself exceeds the float range.
+        with pytest.raises(DomainError, match="overflows"):
+            srs_noise_rate_cps(1e300, SMF_RHO, 1e300, 0.0)
+
     @given(power=st.floats(0.0, 1e3), length=st.floats(0.0, 200.0),
            alpha=st.floats(0.01, 0.99))
     def test_linearity_in_power_exact(self, power, length, alpha):
