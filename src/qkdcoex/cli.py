@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or validation problem, 2 computation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -96,6 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_presets.add_argument("action", choices=("list",))
 
     return parser
+
+
+# Built on first use and shared by every `main` call in the process: parsing
+# leaves a parser unchanged, and every default above is immutable.
+_shared_parser = functools.cache(build_parser)
 
 
 def _cmd_sweep(args) -> int:
@@ -218,9 +224,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ComputationError as exc:
         sys.stderr.write(f"qkdcoex: computation failed: {exc}\n")

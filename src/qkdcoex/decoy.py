@@ -202,16 +202,15 @@ def _e1_upper(enu: float, qnu: float, nu: float, y1: float,
     return raw, 0
 
 
-def _key_point(eta: float, y0: float, mu: float, nu: float, e0: float,
-               ed: float, f_ec: float, q_sift: float, clock_hz: float,
-               p_mu: float):
-    """Fused per-point evaluation of the asymptotic secure key rate.
+def _decoy_chain(eta: float, y0: float, mu: float, nu: float, e0: float,
+                 ed: float):
+    """The part of `_key_point` that does not depend on the EC efficiency f.
 
-    Returns the `KeyRateBreakdown` fields in order, with rate_per_pulse =
-    max(0, q_sift * (-Qmu*f*H2(Emu) + Q1*(1 - H2(e1)))) and rate_bps =
-    rate_per_pulse * clock_hz * p_mu. A vanishing yield bound makes the rate
-    zero with e1 pinned at 0.5. The gains repeat `gain_and_qber` inline,
-    which saves two calls per point.
+    Returns (Qmu, Emu, Qnu, Enu, Y1L, e1U, clamp events, terms), where
+    `terms` = (-Qmu, H2(Emu), Q1 * (1 - H2(e1U))) feeds `_rate_per_pulse`,
+    or is None when the yield bound vanishes: the rate is then zero, with
+    e1 pinned at 0.5. The gains repeat `gain_and_qber` inline, which saves
+    two calls per point.
     """
     s_mu = -math.expm1(-eta * mu)
     qmu = y0 + s_mu
@@ -223,15 +222,33 @@ def _key_point(eta: float, y0: float, mu: float, nu: float, e0: float,
 
     y1, clamps = _y1_lower(qmu, qnu, mu, nu, y0)
     if y1 <= 0.0:
-        return qmu, emu, qnu, enu, y1, 0.5, 0.0, 0.0, clamps + 1
+        return qmu, emu, qnu, enu, y1, 0.5, clamps + 1, None
 
     e1, c = _e1_upper(enu, qnu, nu, y1, y0, e0)
-    clamps += c
-
     q1 = y1 * mu * math.exp(-mu)
-    r = q_sift * (-qmu * f_ec * _h2(emu) + q1 * (1.0 - _h2(e1)))
+    return (qmu, emu, qnu, enu, y1, e1, clamps + c,
+            (-qmu, _h2(emu), q1 * (1.0 - _h2(e1))))
+
+
+def _rate_per_pulse(terms: tuple, f_ec: float, q_sift: float) -> float:
+    """The rate R per pulse of the module docstring from the `_decoy_chain`
+    terms, clamped at 0: the only part of the rate that depends on f."""
+    neg_qmu, h_emu, single = terms
+    r = q_sift * (neg_qmu * f_ec * h_emu + single)
     if r < 0.0:
-        r = 0.0
+        return 0.0
+    return r
+
+
+def _key_point(eta: float, y0: float, mu: float, nu: float, e0: float,
+               ed: float, f_ec: float, q_sift: float, clock_hz: float,
+               p_mu: float):
+    """Per-point evaluation of the asymptotic secure key rate, from the
+    same two steps the calibration grid uses: the `KeyRateBreakdown` fields
+    in order, with rate_bps = rate_per_pulse * clock_hz * p_mu."""
+    qmu, emu, qnu, enu, y1, e1, clamps, terms = _decoy_chain(
+        eta, y0, mu, nu, e0, ed)
+    r = 0.0 if terms is None else _rate_per_pulse(terms, f_ec, q_sift)
     return qmu, emu, qnu, enu, y1, e1, r, r * clock_hz * p_mu, clamps
 
 
@@ -401,8 +418,13 @@ def background_yield(detector: DetectorSpec, params: ProtocolParams,
 
 
 def dbm_to_mw(dbm: float) -> float:
-    """Power conversion: dBm to milliwatts."""
-    return 10.0 ** (dbm / 10.0)
+    """Power conversion: dBm to milliwatts. A power above about 3082.5 dBm,
+    whose milliwatts overflow a float, raises DomainError."""
+    try:
+        return 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        raise DomainError(
+            f"power {dbm} dBm is too large to convert to mW") from None
 
 
 def mw_to_dbm(mw: float) -> float:

@@ -21,8 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
-                    DetectorSpec, DistanceResult, ProtocolParams, _kernel,
-                    background_yield, dbm_to_mw, find_rate_cliff)
+                    DetectorSpec, DistanceResult, ProtocolParams, _decoy_chain,
+                    _kernel, _rate_per_pulse, background_yield, dbm_to_mw,
+                    find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
                      _require_finite)
 from .link import Band, LinkPlan, _path, _path_loss_db, transmittance
@@ -429,6 +430,62 @@ def _golden_min(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
     return 0.5 * (a + b)
 
 
+def _calibration_points(scenarios: Sequence[Scenario],
+                        targets: Sequence[CalibrationTarget]) -> list[tuple]:
+    """Per target, resolved once: its bound kernel; the `_decoy_chain`
+    arguments but e_d; its rate constants q_sift, clock_hz and p_mu; the log
+    of its target rate; and its target QBER."""
+    points = []
+    for scen, tgt in zip(scenarios, targets):
+        channel, key = _resolve(scen)
+        _, _, _, _, _, y0, eta, _ = channel(tgt.distance_km)
+        intensities, protocol = scen.intensities, scen.protocol
+        points.append((key, (eta, y0, intensities.mu, intensities.nu,
+                             protocol.background_error),
+                       protocol.sifting_factor, protocol.clock_hz,
+                       intensities.p_mu, math.log(tgt.key_rate_bps), tgt.qber))
+    return points
+
+
+def _objective_row(points: list[tuple], ed: float):
+    """The calibration objective along the grid row at `ed`, as
+    `objectives(fs)`: the objective at (ed, f) for each f in fs.
+
+    Only the rate's last step depends on f, so each target's f-independent
+    terms (its decoy chain and QBER term) are computed once per row, when a
+    cell first reaches that target, and each cell adds only the f tail.
+    Targets are taken in order over the cells still finite: a cell stops at
+    its first target with a zero rate, exactly as a per-cell sum does, and
+    every value carries the bits of that sum.
+    """
+    reached = []   # per target a cell of this row reached: (terms, QBER term)
+
+    def objectives(fs: Sequence[float]) -> list[float]:
+        totals = [0.0] * len(fs)
+        live = range(len(fs))
+        for k, (_, chain, q_sift, clock_hz, p_mu, log_rate,
+                qber) in enumerate(points):
+            if not live:
+                break
+            if k == len(reached):
+                _, emu, _, _, _, _, _, terms = _decoy_chain(*chain, ed)
+                reached.append((terms, ((emu - qber) / 0.005) ** 2))
+            terms, qber_term = reached[k]
+            if terms is None:   # vanished yield bound: zero rate at every f
+                return [math.inf] * len(fs)
+            still = []
+            for j in live:
+                rate = _rate_per_pulse(terms, fs[j], q_sift) * clock_hz * p_mu
+                if rate <= 0.0:
+                    totals[j] = math.inf
+                else:
+                    totals[j] += (math.log(rate) - log_rate) ** 2 + qber_term
+                    still.append(j)
+            live = still
+        return totals
+    return objectives
+
+
 def calibrate(scenarios: Sequence[Scenario],
               targets: Sequence[CalibrationTarget]) -> CalibrationReport:
     """Fit the shared free parameters (misalignment error e_d, EC
@@ -441,6 +498,11 @@ def calibrate(scenarios: Sequence[Scenario],
 
     followed by alternating golden-section refinement of each coordinate
     within one grid cell of the best point.
+
+    The grid is evaluated by row (`_objective_row`): the f-independent part
+    of each target's rate is computed once per e_d, and every cell gives
+    the bits of the per-cell objective, so the report is unchanged. The
+    golden-section steps in f reuse the row of their e_d.
     """
     if not targets:
         raise ConfigError("calibration needs at least one target")
@@ -449,30 +511,14 @@ def calibrate(scenarios: Sequence[Scenario],
             f"got {len(scenarios)} scenarios for {len(targets)} targets"
         )
 
-    points = []   # per target: its bound kernel and (eta, y0) at its distance
-    for scen, tgt in zip(scenarios, targets):
-        channel, key = _resolve(scen)
-        _, _, _, _, _, y0, eta, _ = channel(tgt.distance_km)
-        points.append((key, eta, y0, math.log(tgt.key_rate_bps), tgt.qber))
-
-    def objective(ed: float, f: float) -> float:
-        total = 0.0
-        for key, eta, y0, log_rate, qber in points:
-            _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
-            if rate <= 0.0:
-                return math.inf
-            total += ((math.log(rate) - log_rate) ** 2
-                      + ((emu - qber) / 0.005) ** 2)
-        return total
-
+    points = _calibration_points(scenarios, targets)
     n_ed = int(round((ED_BOUNDS[1] - ED_BOUNDS[0]) / ED_STEP)) + 1
     n_f = int(round((F_BOUNDS[1] - F_BOUNDS[0]) / F_STEP)) + 1
     best = (math.inf, ED_BOUNDS[0], F_BOUNDS[0])
+    fs = [F_BOUNDS[0] + j * F_STEP for j in range(n_f)]
     for i in range(n_ed):
         ed = ED_BOUNDS[0] + i * ED_STEP
-        for j in range(n_f):
-            f = F_BOUNDS[0] + j * F_STEP
-            value = objective(ed, f)
+        for value, f in zip(_objective_row(points, ed)(fs), fs):
             if value < best[0]:
                 best = (value, ed, f)
     if not math.isfinite(best[0]):
@@ -483,19 +529,20 @@ def calibrate(scenarios: Sequence[Scenario],
 
     _, ed, f = best
     for _ in range(3):
-        ed = _golden_min(lambda x: objective(x, f),
+        ed = _golden_min(lambda x: _objective_row(points, x)([f])[0],
                          max(ED_BOUNDS[0], ed - ED_STEP),
                          min(ED_BOUNDS[1], ed + ED_STEP))
-        f = _golden_min(lambda x: objective(ed, x),
+        row = _objective_row(points, ed)
+        f = _golden_min(lambda x: row([x])[0],
                         max(F_BOUNDS[0], f - F_STEP),
                         min(F_BOUNDS[1], f + F_STEP))
-    refined = objective(ed, f)
+    refined = row([f])[0]
     if refined > best[0]:
         _, ed, f = best
         refined = best[0]
 
     residuals = []
-    for scen, tgt, (key, eta, y0, _, _) in zip(scenarios, targets, points):
+    for scen, tgt, (key, (eta, y0, *_), *_) in zip(scenarios, targets, points):
         _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
         residuals.append(TargetResidual(
             scenario=scen.name,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qkdcoex.cli import main
+from qkdcoex.cli import build_parser, main
 
 SCENARIO_INI = """
 [fiber]
@@ -96,6 +96,31 @@ def test_max_distance_no_secure_range_exit_2(capsys):
     assert main(["max-distance", "--preset", "smf", "--from-km", "250",
                  "--to-km", "260"]) == 2
     assert "computation failed" in capsys.readouterr().err
+
+
+def test_max_distance_overflowing_power_exit_1(tmp_path, capsys):
+    # 10**(4000/10) mW overflows a float: a validation error, not a traceback.
+    path = tmp_path / "hot.ini"
+    path.write_text(SCENARIO_INI + "\n[classical]\nlaunch_power_dbm = 4000\n",
+                    encoding="utf-8")
+    assert main(["max-distance", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qkdcoex: power 4000.0 dBm is too large to "
+                            "convert to mW\n")
+
+
+def test_parser_reused_without_state(capsys):
+    assert build_parser() is not build_parser()
+    argv = ["max-distance", "--preset", "fig4-full", "--format", "json"]
+    assert main(argv) == 0
+    gated = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--ignore-classical-budget", "--to-km", "200"]) == 0
+    free = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    # a flag of the previous call leaves no trace in the next one
+    assert json.loads(capsys.readouterr().out) == gated
+    assert free != gated
 
 
 def test_calibrate_json(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 import oracles
 from qkdcoex.decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
                            ProtocolParams, background_yield, binary_entropy,
-                           e1_upper_bound, find_rate_cliff, gain_and_qber,
+                           dbm_to_mw, e1_upper_bound, find_rate_cliff, gain_and_qber,
                            key_rate_details, max_secure_distance_km,
                            secure_key_rate_bps, y1_lower_bound)
 from qkdcoex.errors import (ConfigError, DomainError, NoSecureDistanceError,
@@ -319,3 +320,14 @@ class TestBackgroundYield:
         with pytest.raises(DomainError, match="divisor"):
             background_yield(DetectorSpec(), PARAMS, 1250.0,
                              per_pulse_divisor_hz=0.0)
+
+
+class TestPowerConversion:
+    def test_largest_finite_power(self):
+        assert dbm_to_mw(3082.5) == pytest.approx(10.0 ** 308.25, rel=1e-12)
+        assert dbm_to_mw(-4000.0) == 0.0
+
+    @pytest.mark.parametrize("dbm", (3082.6, 4000.0, 1e300))
+    def test_overflowing_power_rejected(self, dbm):
+        with pytest.raises(DomainError, match=re.escape(f"power {dbm} dBm")):
+            dbm_to_mw(dbm)

@@ -1,9 +1,13 @@
-"""Golden output bytes of the sweep tables.
+"""Golden output bytes of the sweep tables and of the calibration.
 
-Each digest is the sha256 of a whole output, recorded before the
-column-wise, streamed emitters replaced the per-row formatters. The same
-bytes must come out of the library functions and out of the CLI writing
-to a file, for every preset over 0-300 km at 0.1 km (3,001 rows).
+Each digest is the sha256 of a whole output. The sweep digests were
+recorded before the column-wise, streamed emitters replaced the per-row
+formatters: the same bytes must come out of the library functions and out
+of the CLI writing to a file, for every preset over 0-300 km at 0.1 km
+(3,001 rows). The calibration digests were recorded with the per-cell
+grid search, before the grid was evaluated by row: they cover
+`repr(calibrate(...))` on the reference targets and on fixed synthetic
+target sets, and the CLI `calibrate` text and JSON.
 Anything that changes a digest changes the published results; such a
 change needs its own reason, stated where the digest is updated.
 """
@@ -12,9 +16,10 @@ import hashlib
 
 import pytest
 
-from qkdcoex import get_preset, preset_names
+from qkdcoex import REFERENCE_TARGETS, get_preset, preset_names
 from qkdcoex.cli import main
-from qkdcoex.scenario import SweepSpec, rows_to_csv, rows_to_json, run_sweep
+from qkdcoex.scenario import (CalibrationTarget, SweepSpec, calibrate,
+                              rows_to_csv, rows_to_json, run_sweep)
 
 GRID = ("0", "300", "0.1")
 
@@ -71,3 +76,78 @@ def test_empty_tables():
     assert rows_to_json([]) == "[]\n"
     assert _sha(rows_to_json([])) == (
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570")
+
+
+# (preset, distance_km, key_rate_bps, qber) per target. Sets 0-3 are the
+# model's own outputs at on-grid and off-grid (e_d, f); set 4 perturbs set
+# 2's rates and QBERs; sets 5-7 mix presets, distances and set sizes; sets
+# 8 and 9 lie near the rate cliff, where part of the grid is infinite.
+CALIBRATION_SETS = (
+    (("smf", 63.0, 187743.13307382114, 0.022275721397920487),
+     ("lp01in", 65.0, 14150.195191712963, 0.027231444572812378),
+     ("lp02in", 86.0, 12006.746903247657, 0.02703846145992138)),
+    (("smf", 63.0, 62637.475651055414, 0.04087564208119817),
+     ("lp01in", 65.0, 3640.2490900545995, 0.045638417017723365),
+     ("lp02in", 86.0, 3127.2626414070633, 0.045452947591604766)),
+    (("smf", 63.0, 121180.93934819671, 0.03372935676604411),
+     ("lp01in", 65.0, 8653.66033852497, 0.03856626444678388),
+     ("lp02in", 86.0, 7359.919109727068, 0.038377908183115886)),
+    (("smf", 63.0, 55691.49640325843, 0.05369979792072121),
+     ("lp01in", 65.0, 3524.082764758039, 0.058329540124477795),
+     ("lp02in", 86.0, 3014.068366273371, 0.058149251187660164)),
+    (("smf", 63.0, 206007.5968919344, 0.036729356766044115),
+     ("lp01in", 65.0, 5192.1962031149815, 0.036566264446783875),
+     ("lp02in", 86.0, 8831.902931672481, 0.03937790818311589)),
+    (("fig4-full", 150.0, 17519.283711564698, 0.022333557013725695),
+     ("fig4-power-fmf", 120.5, 28349.528534037283, 0.022635831208808008),
+     ("lp02in", 60.0, 40697.885976991034, 0.025434721698278182),
+     ("smf", 20.0, 1121154.4704129961, 0.02109514423436116)),
+    (("fig4-full", 100.0, 179201.24655100307, 0.006180868044367455),),
+    (("smf", 95.0, 54457.82471739417, 0.018996771375986408),
+     ("lp01in", 97.0, 1219.1739546990375, 0.05494478067889063),
+     ("lp02in", 105.0, 4616.883206563621, 0.03138509942208283)),
+    (("smf", 130.0, 1000.0, 0.03), ("lp01in", 86.5, 100.0, 0.04),
+     ("lp02in", 107.0, 500.0, 0.03)),
+    (("lp01in", 87.0, 50.0, 0.05),),
+)
+
+# sha256 of repr(calibrate(...)) per entry of CALIBRATION_SETS
+CALIBRATION_GOLDEN = (
+    "87aa665ba027157d5e4072010b879f68b8fab6647c9ce18dfd388450642f9730",
+    "332ff5d788a7d268c0017818c50bb784472e5f57d09f11277d8f2e5a2d4e10ae",
+    "079ffdeed446fbae432ee9fcaccbd267f08e5932d4adc1cf8b58dc9b2dfad8ff",
+    "1cc9bfcb6083cc8ac294c89017cf5646a4814d2090510b66247f67703e8a9e48",
+    "ad186cb45de390817bf6b339997d126c5bde315fa98fafd75f2c1e2385a06303",
+    "8eb499f00ed679a8543e0b9bd542dca321edc407fef922f38e246650e82c7d42",
+    "cb09bc1d56d0ec83bbe1ce11458a5534deed05e9d7cc85a12ac96584dd3b245e",
+    "365f3af4e23d802325e378905b2c47e6bd753c356211d1b56eba017fd60ba43f",
+    "497721f91fed746ccbe251af5018684efed3e83a07ba8b6e57c22002394760d6",
+    "88bb97f521b794426094e0c953265cae832948839c3f9fe0d0553e4042a51f32",
+)
+REFERENCE_GOLDEN = (
+    "b71b21f5f6c24c45ff28af59651f008be16641679f7750bdf6da3e142896a024")
+# CLI `calibrate` output on stdout, per --format
+CLI_CALIBRATE_GOLDEN = {
+    "text": "6fed47679eae2bf3a6fcd6a8fc611c6a565ecee04ee6c8c603d823fd4f977e19",
+    "json": "6a83f6c2c3fa4eb33ca1285251dd5982cc469ee4532149e09416e06fc213e4fb",
+}
+
+
+def test_calibrate_reference_targets():
+    report = calibrate([get_preset(n) for n, _ in REFERENCE_TARGETS],
+                       [t for _, t in REFERENCE_TARGETS])
+    assert _sha(repr(report)) == REFERENCE_GOLDEN
+
+
+@pytest.mark.parametrize("index", range(len(CALIBRATION_SETS)))
+def test_calibrate_synthetic_targets(index):
+    targets = CALIBRATION_SETS[index]
+    report = calibrate([get_preset(p) for p, *_ in targets],
+                       [CalibrationTarget(*t) for _, *t in targets])
+    assert _sha(repr(report)) == CALIBRATION_GOLDEN[index]
+
+
+@pytest.mark.parametrize("fmt", sorted(CLI_CALIBRATE_GOLDEN))
+def test_cli_calibrate(fmt, capsys):
+    assert main(["calibrate", "--format", fmt]) == 0
+    assert _sha(capsys.readouterr().out) == CLI_CALIBRATE_GOLDEN[fmt]

@@ -1,15 +1,20 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdcoex import config
 from qkdcoex.config import load_scenario, load_sweep
-from qkdcoex.decoy import dbm_to_mw
-from qkdcoex.errors import CalibrationError, ConfigError
+from qkdcoex.decoy import DecoyIntensities, dbm_to_mw
+from qkdcoex.errors import CalibrationError, ConfigError, DomainError
 from qkdcoex.link import Band, Mode, SchemeName
 from qkdcoex.presets import REFERENCE_TARGETS, get_preset, preset_names
-from qkdcoex.scenario import (CalibrationTarget, SweepSpec, apply_calibration,
+from qkdcoex.scenario import (ED_BOUNDS, ED_STEP, F_BOUNDS, F_STEP,
+                              CalibrationTarget, SweepSpec, _calibration_points,
+                              _objective_row, _resolve, apply_calibration,
                               calibrate, channel_state, emit_results,
                               evaluate_at, launch_power_dbm,
                               max_secure_distance, rows_to_csv, rows_to_json,
@@ -85,6 +90,16 @@ class TestLaunchPower:
         for d in (0.0, 50.0, 100.0, 150.0, 175.0):
             assert evaluate_at(s, d).classical_feasible
         assert not evaluate_at(s, 180.0).classical_feasible
+
+    # 10**(4000/10) mW overflows a float.
+    @pytest.mark.parametrize("call", (
+        lambda s: evaluate_at(s, 10.0),
+        lambda s: channel_state(s, 10.0),
+        lambda s: max_secure_distance(s)))
+    def test_overflowing_power_is_domain_error(self, call):
+        s = replace(get_preset("smf"), classical_launch_power_dbm=4000.0)
+        with pytest.raises(DomainError, match="4000.0 dBm"):
+            call(s)
 
 
 class TestSweep:
@@ -245,6 +260,36 @@ class TestMaxDistance:
         assert free.distance_km > gated.distance_km
 
 
+_GRID_ED = [ED_BOUNDS[0] + i * ED_STEP for i in range(51)]
+_GRID_F = [F_BOUNDS[0] + j * F_STEP for j in range(51)]
+
+
+def _cell_objective(scenarios, targets, ed, f):
+    """The calibration objective at one grid cell, one `key` call per
+    target, as the per-cell grid search computed it."""
+    total = 0.0
+    for scenario, target in zip(scenarios, targets):
+        channel, key = _resolve(scenario)
+        _, _, _, _, _, y0, eta, _ = channel(target.distance_km)
+        _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
+        if rate <= 0.0:
+            return math.inf
+        total += ((math.log(rate) - math.log(target.key_rate_bps)) ** 2
+                  + ((emu - target.qber) / 0.005) ** 2)
+    return total
+
+
+def _calibration_targets():
+    """1-3 targets as (preset, mu, distance_km, key_rate_bps, qber); a mu
+    of 3 makes the yield bound vanish at short distances."""
+    return st.lists(st.tuples(st.sampled_from(preset_names()),
+                              st.sampled_from([0.4, 0.6, 3.0]),
+                              st.floats(0.0, 150.0),
+                              st.floats(1.0, 1e7),
+                              st.floats(0.0, 0.1)),
+                    min_size=1, max_size=3)
+
+
 class TestCalibration:
     def test_round_trip_recovers_known_parameters(self):
         truth_ed, truth_f = 0.031, 1.23
@@ -283,6 +328,46 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate([get_preset("smf")],
                       [CalibrationTarget(300.0, 1000.0, 0.04)])
+
+    def test_vanished_yield_bound_fails(self):
+        # With mu = 3 the single-photon yield bound vanishes at 20 km for
+        # every (ed, f), so every row of the grid is infinite.
+        scenario = replace(get_preset("smf"),
+                           intensities=DecoyIntensities(mu=3.0))
+        assert evaluate_at(scenario, 20.0).y1_lower == 0.0
+        for targets in ([scenario], [get_preset("smf"), scenario]):
+            points = _calibration_points(
+                targets, [CalibrationTarget(20.0, 1e5, 0.02)] * len(targets))
+            assert _objective_row(points, 0.01)(_GRID_F) == [math.inf] * 51
+            with pytest.raises(CalibrationError):
+                calibrate(targets,
+                          [CalibrationTarget(20.0, 1e5, 0.02)] * len(targets))
+
+    @settings(max_examples=60, deadline=None)
+    @given(targets=_calibration_targets(),
+           ed=st.one_of(st.sampled_from(_GRID_ED),
+                        st.floats(*ED_BOUNDS)),
+           fs=st.lists(st.one_of(st.sampled_from(_GRID_F),
+                                 st.floats(*F_BOUNDS)),
+                       min_size=1, max_size=8))
+    # a vanished yield bound at the second target
+    @example(targets=[("smf", 0.4, 63.0, 2300.0, 0.04),
+                      ("lp01in", 3.0, 20.0, 1e5, 0.02)],
+             ed=0.02, fs=_GRID_F)
+    # near the cliff: rates clamped to 0 over part of the row
+    @example(targets=[("lp01in", 0.4, 87.0, 50.0, 0.05)], ed=0.02,
+             fs=_GRID_F)
+    def test_row_objective_is_the_cell_objective(self, targets, ed, fs):
+        scenarios = [replace(get_preset(name),
+                             intensities=DecoyIntensities(mu=mu))
+                     for name, mu, *_ in targets]
+        cal_targets = [CalibrationTarget(*t) for _, _, *t in targets]
+        expected = [_cell_objective(scenarios, cal_targets, ed, f).hex()
+                    for f in fs]
+        row = _objective_row(_calibration_points(scenarios, cal_targets), ed)
+        assert [v.hex() for v in row(fs)] == expected
+        # one f at a time, as the golden-section steps call it
+        assert [row([f])[0].hex() for f in fs] == expected
 
     def test_apply_calibration(self):
         s = apply_calibration(get_preset("smf"), 0.02, 1.3)
