@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import presets as presets_mod
@@ -106,16 +107,9 @@ _shared_parser = functools.cache(build_parser)
 
 def _cmd_sweep(args) -> int:
     scenario, file_sweep = _resolve_scenario(args)
-    flags = (args.from_km, args.to_km, args.step_km)
-    if any(v is not None for v in flags):
-        base = file_sweep or _DEFAULT_SWEEP
-        sweep = SweepSpec(
-            from_km=args.from_km if args.from_km is not None else base.from_km,
-            to_km=args.to_km if args.to_km is not None else base.to_km,
-            step_km=args.step_km if args.step_km is not None else base.step_km,
-        )
-    else:
-        sweep = file_sweep or _DEFAULT_SWEEP
+    flags = {name: getattr(args, name) for name in ("from_km", "to_km", "step_km")}
+    sweep = replace(file_sweep or _DEFAULT_SWEEP,
+                    **{name: v for name, v in flags.items() if v is not None})
     # The whole table is computed before any output, so a failed sweep
     # leaves no --out file.
     table = _sweep_table(scenario, sweep)

@@ -2,9 +2,9 @@
 
 Flat INI-style sections (fiber, components, classical, quantum, detector,
 raman, sweep) with units embedded in the key names. Only the link geometry
-and the Raman coefficient are mandatory; protocol, detector and classical
-defaults match the baseline system. Unknown sections or keys are rejected
-so typos fail loudly.
+and the Raman coefficient are mandatory; every other field a file leaves
+out takes its dataclass default. Unknown sections or keys are rejected so
+typos fail loudly.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .scenario import Scenario, SweepSpec
 
 _SECTIONS = ("fiber", "components", "classical", "quantum", "detector",
              "raman", "sweep")
+# INI keys whose dataclass field has another name.
+_FIELD_OF_KEY = {"error_correction_efficiency": "ec_efficiency",
+                 "launch_power_dbm": "classical_launch_power_dbm"}
 
 
 class _Section:
@@ -31,19 +34,18 @@ class _Section:
         self._values = dict(values)
         self._seen: set[str] = set()
 
-    def _raw(self, key: str, default=None, required: bool = False):
+    def _raw(self, key: str, required: bool = False) -> str | None:
         self._seen.add(key)
         if key in self._values:
             return self._values[key]
         if required:
             raise ConfigError(f"[{self.name}] missing required key {key!r}")
-        return default
+        return None
 
-    def get_float(self, key: str, default: float | None = None,
-                  required: bool = False) -> float | None:
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, float):
-            return raw
+    def get_float(self, key: str, required: bool = False) -> float | None:
+        raw = self._raw(key, required)
+        if raw is None:
+            return None
         try:
             value = float(raw)
         except ValueError:
@@ -53,10 +55,8 @@ class _Section:
         _require_finite(f"[{self.name}]", **{key: value})
         return value
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self._raw(key, default)
-        if raw is None or isinstance(raw, int):
-            return raw
+    def get_int(self, key: str) -> int:
+        raw = self._raw(key)
         try:
             return int(raw)
         except ValueError:
@@ -64,10 +64,8 @@ class _Section:
                 f"[{self.name}] {key} = {raw!r} is not an integer"
             ) from None
 
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self._raw(key, default)
-        if isinstance(raw, bool):
-            return raw
+    def get_bool(self, key: str) -> bool:
+        raw = self._raw(key)
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
@@ -75,12 +73,18 @@ class _Section:
             return False
         raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean")
 
-    def get_str(self, key: str, default: str | None = None,
-                required: bool = False) -> str | None:
-        return self._raw(key, default, required)
+    def get_str(self, key: str, required: bool = False) -> str | None:
+        return self._raw(key, required)
 
     def has(self, key: str) -> bool:
         return key in self._values
+
+    def given(self, kind: type, *keys: str) -> dict:
+        """Dataclass keyword arguments, read as `kind`, for those of `keys`
+        this section sets; the fields of the others keep their defaults."""
+        get = {float: self.get_float, int: self.get_int, bool: self.get_bool}[kind]
+        return {_FIELD_OF_KEY.get(key, key): get(key)
+                for key in keys if self.has(key)}
 
     def check_consumed(self):
         extra = set(self._values) - self._seen
@@ -147,11 +151,11 @@ def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
 
     quantum_path: list[ComponentSpec] = [mux, demux]
     classical_path: list[ComponentSpec] = [mux, demux]
-    q_extra = components.get_float("quantum_extra_il_db", 0.0)
+    q_extra = components.get_float("quantum_extra_il_db")
     if q_extra:
         quantum_path.append(ComponentSpec(
             "quantum-extra", {scheme.quantum_mode: q_extra}, Side.TRANSMITTER))
-    c_extra = components.get_float("classical_extra_il_db", 0.0)
+    c_extra = components.get_float("classical_extra_il_db")
     if c_extra:
         classical_path.append(ComponentSpec(
             "classical-extra", {scheme.classical_mode: c_extra}, Side.TRANSMITTER))
@@ -168,41 +172,32 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
 
     link = _build_link(fiber, components)
 
-    intensities = DecoyIntensities(
-        mu=quantum.get_float("mu", 0.4),
-        nu=quantum.get_float("nu", 0.2),
-        omega=quantum.get_float("omega", 0.0),
-        p_mu=quantum.get_float("p_mu", 6.0 / 8.0),
-        p_nu=quantum.get_float("p_nu", 1.0 / 8.0),
-        p_omega=quantum.get_float("p_omega", 1.0 / 8.0),
-    )
+    intensities = DecoyIntensities(**quantum.given(
+        float, "mu", "nu", "omega", "p_mu", "p_nu", "p_omega"))
     protocol = ProtocolParams(
-        clock_hz=quantum.get_float("clock_hz", 625e6),
-        misalignment_error=quantum.get_float("misalignment_error", 0.033),
-        background_error=quantum.get_float("background_error", 0.5),
-        ec_efficiency=quantum.get_float("error_correction_efficiency", 1.16),
-        sifting_factor=quantum.get_float("sifting_factor", 0.5),
-        block_size_bits=quantum.get_int("block_size_bits", 500_000),
-    )
+        **quantum.given(float, "clock_hz", "misalignment_error",
+                        "background_error", "error_correction_efficiency",
+                        "sifting_factor"),
+        **quantum.given(int, "block_size_bits"))
     det = DetectorSpec(
-        efficiency=detector.get_float("efficiency", 0.10),
-        gate_hz=detector.get_float("gate_hz", 1.25e9),
-        dark_count_per_gate=detector.get_float("dark_count_per_gate", 3.0e-7),
-        num_detectors=detector.get_int("num_detectors", 4),
-    )
+        **detector.given(float, "efficiency", "gate_hz", "dark_count_per_gate"),
+        **detector.given(int, "num_detectors"))
     rho = RamanCoefficient(
         raman.get_float("coefficient_cps_per_mw_km", required=True),
         link.scheme.name,
     )
-    alpha_basis_raw = raman.get_str("alpha_basis", "quantum").strip().lower()
-    try:
-        alpha_basis = Band(alpha_basis_raw)
-    except ValueError:
-        raise ConfigError(
-            f"[raman] alpha_basis must be quantum or classical, got "
-            f"{alpha_basis_raw!r}"
-        ) from None
-    noise_divisor = raman.get_str("noise_divisor", "clock").strip().lower()
+    raman_options = {}
+    if raman.has("alpha_basis"):
+        alpha_basis_raw = raman.get_str("alpha_basis").strip().lower()
+        try:
+            raman_options["raman_alpha_basis"] = Band(alpha_basis_raw)
+        except ValueError:
+            raise ConfigError(
+                f"[raman] alpha_basis must be quantum or classical, got "
+                f"{alpha_basis_raw!r}"
+            ) from None
+    if raman.has("noise_divisor"):
+        raman_options["noise_divisor"] = raman.get_str("noise_divisor").strip().lower()
 
     scenario = Scenario(
         name=Path(path).stem,
@@ -211,11 +206,10 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
         detector=det,
         protocol=protocol,
         intensities=intensities,
-        classical_launch_power_dbm=classical.get_float("launch_power_dbm", -2.60),
-        adaptive_power=classical.get_bool("adaptive_power", False),
-        receiver_sensitivity_dbm=classical.get_float("receiver_sensitivity_dbm", -33.0),
-        raman_alpha_basis=alpha_basis,
-        noise_divisor=noise_divisor,
+        **classical.given(float, "launch_power_dbm"),
+        **classical.given(bool, "adaptive_power"),
+        **classical.given(float, "receiver_sensitivity_dbm"),
+        **raman_options,
     )
 
     for section in (fiber, components, classical, quantum, detector, raman):

@@ -17,6 +17,7 @@ diagnostics, because the decoy bounds go negative in degenerate regimes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,13 @@ from .errors import (ConfigError, DomainError, NoSecureDistanceError,
                      UndefinedBoundError, _require_finite)
 
 _PROB_SUM_TOL = 1e-12
+# Error rate e0 of a background (dark or noise) count: a random bit. It is a
+# constant of the decoy bound, not a parameter; ProtocolParams.background_error
+# must equal it.
+_E0 = 0.5
+# Largest signal intensity mu: e^mu <= float max / e, so that Q * e^mu stays
+# finite for every gain Q = Y0 + 1 - e^(-eta*mu) < 2.
+_MU_MAX = math.log(sys.float_info.max) - 1.0
 # Largest distance grid a sweep or a cliff search builds; a larger one is
 # rejected before anything is evaluated.
 _MAX_GRID_POINTS = 1_000_000
@@ -57,6 +65,15 @@ class DecoyIntensities:
         if abs(sum(probs) - 1.0) > _PROB_SUM_TOL:
             raise ConfigError(
                 f"emission probabilities must sum to 1, got {sum(probs)!r}"
+            )
+        # The yield bound divides by mu*nu - nu^2 and scales the gains by
+        # e^mu and e^nu; an overflow there makes it NaN or raises.
+        denom = self.mu * self.nu - self.nu * self.nu
+        if (denom == 0.0 or not math.isfinite(self.mu / denom)
+                or self.mu > _MU_MAX):
+            raise ConfigError(
+                f"intensities mu = {self.mu}, nu = {self.nu} are outside the "
+                f"domain of the decoy bound"
             )
 
 
@@ -96,7 +113,7 @@ class ProtocolParams:
 
     clock_hz: float = 625e6
     misalignment_error: float = 0.033
-    background_error: float = 0.5
+    background_error: float = _E0
     ec_efficiency: float = 1.16
     sifting_factor: float = 0.5
     block_size_bits: int = 500_000
@@ -110,7 +127,7 @@ class ProtocolParams:
                 f"misalignment error must be in [0, 0.5), got "
                 f"{self.misalignment_error}"
             )
-        if self.background_error != 0.5:
+        if self.background_error != _E0:
             raise ConfigError(
                 f"background error must be exactly 0.5, got {self.background_error}"
             )
@@ -173,6 +190,14 @@ def _h2(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _gain_qber(eta: float, intensity: float, y0: float,
+               ed: float) -> tuple[float, float]:
+    """Gain Q and QBER E of one Poissonian intensity; see `gain_and_qber`."""
+    signal = -math.expm1(-eta * intensity)
+    q = y0 + signal
+    return q, ((_E0 * y0 + ed * signal) / q if q > 0.0 else _E0)
+
+
 def _y1_lower(qmu: float, qnu: float, mu: float, nu: float,
               y0: float) -> tuple[float, int]:
     """Vacuum+weak-decoy lower bound on the single-photon yield, clamped to
@@ -202,29 +227,22 @@ def _e1_upper(enu: float, qnu: float, nu: float, y1: float,
     return raw, 0
 
 
-def _decoy_chain(eta: float, y0: float, mu: float, nu: float, e0: float,
-                 ed: float):
-    """The part of `_key_point` that does not depend on the EC efficiency f.
+def _decoy_chain(eta: float, y0: float, mu: float, nu: float, ed: float):
+    """The part of the key rate that does not depend on the EC efficiency f.
 
     Returns (Qmu, Emu, Qnu, Enu, Y1L, e1U, clamp events, terms), where
     `terms` = (-Qmu, H2(Emu), Q1 * (1 - H2(e1U))) feeds `_rate_per_pulse`,
     or is None when the yield bound vanishes: the rate is then zero, with
-    e1 pinned at 0.5. The gains repeat `gain_and_qber` inline, which saves
-    two calls per point.
+    e1 pinned at 0.5.
     """
-    s_mu = -math.expm1(-eta * mu)
-    qmu = y0 + s_mu
-    emu = (e0 * y0 + ed * s_mu) / qmu if qmu > 0.0 else e0
-
-    s_nu = -math.expm1(-eta * nu)
-    qnu = y0 + s_nu
-    enu = (e0 * y0 + ed * s_nu) / qnu if qnu > 0.0 else e0
+    qmu, emu = _gain_qber(eta, mu, y0, ed)
+    qnu, enu = _gain_qber(eta, nu, y0, ed)
 
     y1, clamps = _y1_lower(qmu, qnu, mu, nu, y0)
     if y1 <= 0.0:
         return qmu, emu, qnu, enu, y1, 0.5, clamps + 1, None
 
-    e1, c = _e1_upper(enu, qnu, nu, y1, y0, e0)
+    e1, c = _e1_upper(enu, qnu, nu, y1, y0, _E0)
     q1 = y1 * mu * math.exp(-mu)
     return (qmu, emu, qnu, enu, y1, e1, clamps + c,
             (-qmu, _h2(emu), q1 * (1.0 - _h2(e1))))
@@ -240,29 +258,19 @@ def _rate_per_pulse(terms: tuple, f_ec: float, q_sift: float) -> float:
     return r
 
 
-def _key_point(eta: float, y0: float, mu: float, nu: float, e0: float,
-               ed: float, f_ec: float, q_sift: float, clock_hz: float,
-               p_mu: float):
-    """Per-point evaluation of the asymptotic secure key rate, from the
-    same two steps the calibration grid uses: the `KeyRateBreakdown` fields
-    in order, with rate_bps = rate_per_pulse * clock_hz * p_mu."""
-    qmu, emu, qnu, enu, y1, e1, clamps, terms = _decoy_chain(
-        eta, y0, mu, nu, e0, ed)
-    r = 0.0 if terms is None else _rate_per_pulse(terms, f_ec, q_sift)
-    return qmu, emu, qnu, enu, y1, e1, r, r * clock_hz * p_mu, clamps
-
-
 def _kernel(intensities: DecoyIntensities, params: ProtocolParams):
-    """`_key_point` with its constants checked and bound once:
-    `key(eta, y0, ed, f)`, where ed and f default to those of `params`."""
-    mu, nu = intensities.mu, intensities.nu
-    if mu * nu - nu * nu == 0.0:
-        raise DomainError("degenerate intensities: mu*nu - nu^2 is zero")
-    e0, q_sift = params.background_error, params.sifting_factor
-    clock_hz, p_mu = params.clock_hz, intensities.p_mu
+    """The per-point key rate with its constants bound once: `key(eta, y0,
+    ed, f)` gives the `KeyRateBreakdown` fields in order, from the same two
+    steps the calibration grid uses, with rate_bps = rate_per_pulse *
+    clock_hz * p_mu. ed and f default to those of `params`."""
+    mu, nu, p_mu = intensities.mu, intensities.nu, intensities.p_mu
+    q_sift, clock_hz = params.sifting_factor, params.clock_hz
 
     def key(eta, y0, ed=params.misalignment_error, f=params.ec_efficiency):
-        return _key_point(eta, y0, mu, nu, e0, ed, f, q_sift, clock_hz, p_mu)
+        qmu, emu, qnu, enu, y1, e1, clamps, terms = _decoy_chain(
+            eta, y0, mu, nu, ed)
+        r = 0.0 if terms is None else _rate_per_pulse(terms, f, q_sift)
+        return qmu, emu, qnu, enu, y1, e1, r, r * clock_hz * p_mu, clamps
     return key
 
 
@@ -282,27 +290,19 @@ def gain_and_qber(intensity: float, ch: ChannelPoint,
     """
     if intensity < 0.0:
         raise DomainError(f"intensity must be >= 0, got {intensity}")
-    signal = -math.expm1(-ch.eta * intensity)
-    q = ch.y0 + signal
-    if q > 0.0:
-        return q, ((params.background_error * ch.y0
-                    + params.misalignment_error * signal) / q)
-    return q, params.background_error
+    return _gain_qber(ch.eta, intensity, ch.y0, params.misalignment_error)
 
 
 def y1_lower_bound(q_mu: float, q_nu: float, intensities: DecoyIntensities,
                    y0: float) -> float:
     """Lower bound on the single-photon yield from the signal and decoy
     gains, clamped to [0, 1]."""
-    mu, nu = intensities.mu, intensities.nu
-    if mu * nu - nu * nu == 0.0:
-        raise DomainError("degenerate intensities: mu*nu - nu^2 is zero")
-    value, _ = _y1_lower(q_mu, q_nu, mu, nu, y0)
+    value, _ = _y1_lower(q_mu, q_nu, intensities.mu, intensities.nu, y0)
     return value
 
 
 def e1_upper_bound(q_nu: float, e_nu: float, nu: float, y1_lower: float,
-                   y0: float, e0: float = 0.5) -> float:
+                   y0: float, e0: float = _E0) -> float:
     """Upper bound on the single-photon error rate, clamped to [0, 0.5]."""
     if y1_lower <= 0.0:
         raise UndefinedBoundError(
@@ -387,9 +387,11 @@ def max_secure_distance_km(evaluator: Callable[[float], ChannelPoint],
     must be pure; the search is a 1 km coarse scan refined by bisection to
     0.01 km.
     """
+    key = _kernel(intensities, params)
 
     def rate(d: float) -> float:
-        return secure_key_rate_bps(evaluator(d), intensities, params)
+        ch = evaluator(d)
+        return key(ch.eta, ch.y0)[7]
 
     return find_rate_cliff(rate, search_range_km[0], search_range_km[1],
                            coarse_step_km, resolution_km)

@@ -440,8 +440,7 @@ def _calibration_points(scenarios: Sequence[Scenario],
         channel, key = _resolve(scen)
         _, _, _, _, _, y0, eta, _ = channel(tgt.distance_km)
         intensities, protocol = scen.intensities, scen.protocol
-        points.append((key, (eta, y0, intensities.mu, intensities.nu,
-                             protocol.background_error),
+        points.append((key, (eta, y0, intensities.mu, intensities.nu),
                        protocol.sifting_factor, protocol.clock_hz,
                        intensities.p_mu, math.log(tgt.key_rate_bps), tgt.qber))
     return points

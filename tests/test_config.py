@@ -1,0 +1,116 @@
+"""Defaults of scenario files.
+
+A key a file leaves out takes the default of its dataclass field: an INI
+that sets only the mandatory keys loads the dataclass defaults, and one
+optional key changes only its own field.
+"""
+
+from dataclasses import MISSING, fields, replace
+
+import pytest
+
+from qkdcoex import config
+from qkdcoex.decoy import DecoyIntensities, DetectorSpec, ProtocolParams
+from qkdcoex.link import Band
+from qkdcoex.scenario import Scenario
+
+MANDATORY = {
+    "smf": """
+[fiber]
+kind = smf
+scheme = smf
+attenuation_quantum_db_per_km = 0.190
+attenuation_classical_db_per_km = 0.192
+
+[components]
+mux_il_db = 0.49
+demux_il_db = 0.36
+
+[raman]
+coefficient_cps_per_mw_km = 12076
+""",
+    "fmf": """
+[fiber]
+kind = fmf
+scheme = lp02in
+attenuation_lp01_db_per_km = 0.226
+attenuation_lp02_db_per_km = 0.257
+
+[components]
+mux_il_lp01_db = 2.60
+mux_il_lp02_db = 3.70
+demux_il_lp01_db = 2.30
+demux_il_lp02_db = 3.20
+
+[raman]
+coefficient_cps_per_mw_km = 2655
+""",
+}
+
+# (section, key, INI value, Scenario field or (field, nested field), value)
+OPTIONAL = [
+    ("quantum", "mu", "0.5", ("intensities", "mu"), 0.5),
+    ("quantum", "nu", "0.1", ("intensities", "nu"), 0.1),
+    ("quantum", "omega", "0", ("intensities", "omega"), 0.0),
+    ("quantum", "p_mu", "0.750", ("intensities", "p_mu"), 0.75),
+    ("quantum", "p_nu", "0.125", ("intensities", "p_nu"), 0.125),
+    ("quantum", "p_omega", "0.125", ("intensities", "p_omega"), 0.125),
+    ("quantum", "clock_hz", "1e9", ("protocol", "clock_hz"), 1e9),
+    ("quantum", "misalignment_error", "0.01",
+     ("protocol", "misalignment_error"), 0.01),
+    ("quantum", "background_error", "0.5",
+     ("protocol", "background_error"), 0.5),
+    ("quantum", "error_correction_efficiency", "1.3",
+     ("protocol", "ec_efficiency"), 1.3),
+    ("quantum", "sifting_factor", "0.9", ("protocol", "sifting_factor"), 0.9),
+    ("quantum", "block_size_bits", "1000",
+     ("protocol", "block_size_bits"), 1000),
+    ("detector", "efficiency", "0.2", ("detector", "efficiency"), 0.2),
+    ("detector", "gate_hz", "1e9", ("detector", "gate_hz"), 1e9),
+    ("detector", "dark_count_per_gate", "1e-6",
+     ("detector", "dark_count_per_gate"), 1e-6),
+    ("detector", "num_detectors", "2", ("detector", "num_detectors"), 2),
+    ("classical", "launch_power_dbm", "0", "classical_launch_power_dbm", 0.0),
+    ("classical", "adaptive_power", "yes", "adaptive_power", True),
+    ("classical", "receiver_sensitivity_dbm", "-28",
+     "receiver_sensitivity_dbm", -28.0),
+    ("raman", "alpha_basis", "Classical", "raman_alpha_basis", Band.CLASSICAL),
+    ("raman", "noise_divisor", "GATE", "noise_divisor", "gate"),
+]
+
+
+def _load(tmp_path, text):
+    path = tmp_path / "s.ini"
+    path.write_text(text, encoding="utf-8")
+    return config._load_scenario_file(path)
+
+
+@pytest.mark.parametrize("kind", sorted(MANDATORY))
+def test_mandatory_keys_only_give_dataclass_defaults(kind, tmp_path):
+    scenario, sweep = _load(tmp_path, MANDATORY[kind])
+    assert sweep is None
+    # repr also pins the types: 4 detectors, not 4.0
+    assert repr(scenario.intensities) == repr(DecoyIntensities())
+    assert repr(scenario.protocol) == repr(ProtocolParams())
+    assert repr(scenario.detector) == repr(DetectorSpec())
+    for f in fields(Scenario):
+        if f.default is not MISSING:
+            assert repr(getattr(scenario, f.name)) == repr(f.default), f.name
+
+
+@pytest.mark.parametrize("section, key, raw, target, value", OPTIONAL,
+                         ids=[key for _, key, *_ in OPTIONAL])
+def test_one_optional_key_changes_only_its_field(section, key, raw, target,
+                                                 value, tmp_path):
+    base, _ = _load(tmp_path, MANDATORY["smf"])
+    # A section may appear only once: a [raman] key joins the mandatory one.
+    text = MANDATORY["smf"] + (f"{key} = {raw}\n" if section == "raman"
+                               else f"\n[{section}]\n{key} = {raw}\n")
+    scenario, _ = _load(tmp_path, text)
+    if isinstance(target, tuple):
+        outer, inner = target
+        expected = replace(base, **{outer: replace(getattr(base, outer),
+                                                   **{inner: value})})
+    else:
+        expected = replace(base, **{target: value})
+    assert repr(scenario) == repr(expected)

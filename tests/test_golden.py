@@ -7,7 +7,10 @@ of the CLI writing to a file, for every preset over 0-300 km at 0.1 km
 (3,001 rows). The calibration digests were recorded with the per-cell
 grid search, before the grid was evaluated by row: they cover
 `repr(calibrate(...))` on the reference targets and on fixed synthetic
-target sets, and the CLI `calibrate` text and JSON.
+target sets, and the CLI `calibrate` text and JSON. The `max-distance`
+digests were recorded before the rate kernel was folded into one closure
+and the background error became a constant: the CLI text and JSON of every
+preset, with and without `--ignore-classical-budget`.
 Anything that changes a digest changes the published results; such a
 change needs its own reason, stated where the digest is updated.
 """
@@ -151,3 +154,70 @@ def test_calibrate_synthetic_targets(index):
 def test_cli_calibrate(fmt, capsys):
     assert main(["calibrate", "--format", fmt]) == 0
     assert _sha(capsys.readouterr().out) == CLI_CALIBRATE_GOLDEN[fmt]
+
+
+# CLI `max-distance` output on stdout, per preset, format and budget flag:
+# (preset, format, --ignore-classical-budget) -> sha256
+MAX_DISTANCE_GOLDEN = {
+    ("smf", "text", False):
+        "f2384e5eb9c37705aac07c304dbc378cb67d4d33795d22c1dad46a82ee0b7f91",
+    ("smf", "text", True):
+        "f2384e5eb9c37705aac07c304dbc378cb67d4d33795d22c1dad46a82ee0b7f91",
+    ("smf", "json", False):
+        "f716aed33ed7c515b8dee734911fe3a77321a414c8165f9222899c0db9831525",
+    ("smf", "json", True):
+        "f716aed33ed7c515b8dee734911fe3a77321a414c8165f9222899c0db9831525",
+    ("lp01in", "text", False):
+        "fcb6bf8673e8991ef99231f6b7a068b403ee1fd81574bb3894361e1455a8e3ae",
+    ("lp01in", "text", True):
+        "fcb6bf8673e8991ef99231f6b7a068b403ee1fd81574bb3894361e1455a8e3ae",
+    ("lp01in", "json", False):
+        "e12e7436a460af618eb7cce0be83ea4b8e6f08bce212822fad355c93d903ae40",
+    ("lp01in", "json", True):
+        "e12e7436a460af618eb7cce0be83ea4b8e6f08bce212822fad355c93d903ae40",
+    ("lp02in", "text", False):
+        "2af9db0f603c6d12fe153efdd064009dc7bdb15fd14a974bdf655273169d7dbf",
+    ("lp02in", "text", True):
+        "ee3ee69c51840f1078c91807c2d8cc809b1a2e03bccdc28b4ab1e56550b69601",
+    ("lp02in", "json", False):
+        "6e4471afbb08d078d238891bd21670757e8185e550e51434ced8f321ae4d02a6",
+    ("lp02in", "json", True):
+        "9254d8ff37c4faf1f306a46401e2300b08e28c3f4ee523e7e6c3a526dee07205",
+    ("fig4-power", "text", False):
+        "be451530fbfa1bd0ba767cc11066c5a6b11bdb1d6aaffdbff60b11763c7e4f4e",
+    ("fig4-power", "text", True):
+        "dad4414b51e572bba44de826b2668b4e7fb200b99e16cd8dbd48765809355163",
+    ("fig4-power", "json", False):
+        "514b17835027ff4214f0fead4f8c3a1fc6ab57faa557780c29aee742db7dc737",
+    ("fig4-power", "json", True):
+        "7bc02cd6f018ef652f734626df1d0c0c09f5ebdeea687ddba42c3f0a6e5da352",
+    ("fig4-power-fmf", "text", False):
+        "e569568e167d49236e5d21591b495e454a29ea5a71a55a39626281d2451b2308",
+    ("fig4-power-fmf", "text", True):
+        "e6e6dda8673b415675f021627f61e703df13b89b905e6f61732aae1187c9844b",
+    ("fig4-power-fmf", "json", False):
+        "1633cb1e60acbd4019ec63f1bf8b3175ffa5bb71c94a42ceaf867ff43d53c774",
+    ("fig4-power-fmf", "json", True):
+        "933770e249bf2902b1ea0028c32c8e4be203dd0b04bdcf85127e2c563daa377d",
+    ("fig4-full", "text", False):
+        "40407e3636eabf6a974b42c1769fecad97312f610db487ac77a18a0c50e726c7",
+    ("fig4-full", "text", True):
+        "cc3be10052c789573d00f86fc7e8cf9254815f5a95592868e9197f5402afc148",
+    ("fig4-full", "json", False):
+        "f25d4593c330a0e844b2e6c096fd7d492f1dc881fb84e385efc0b8ed93d4bd2c",
+    ("fig4-full", "json", True):
+        "fc3bf234899426df276660807f1072038a55abbc6f4eccb70c72d62231e5e92f",
+}
+
+
+def test_max_distance_covers_every_preset():
+    assert sorted({p for p, _, _ in MAX_DISTANCE_GOLDEN}) == sorted(preset_names())
+
+
+@pytest.mark.parametrize("preset, fmt, ignore_budget", sorted(MAX_DISTANCE_GOLDEN))
+def test_cli_max_distance(preset, fmt, ignore_budget, capsys):
+    flags = ["--ignore-classical-budget"] if ignore_budget else []
+    assert main(["max-distance", "--preset", preset, "--format", fmt,
+                 *flags]) == 0
+    assert (_sha(capsys.readouterr().out)
+            == MAX_DISTANCE_GOLDEN[preset, fmt, ignore_budget])
