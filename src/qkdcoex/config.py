@@ -101,6 +101,9 @@ def _read_ini(path: str | Path) -> dict[str, _Section]:
             parser.read_file(fh, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"scenario file {path} is not UTF-8 text: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse scenario file: {exc}") from exc
     unknown = set(parser.sections()) - set(_SECTIONS)

@@ -329,12 +329,19 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
                     resolution_km: float = 0.01) -> DistanceResult:
     """Largest distance with rate_fn > 0: coarse grid scan, then bisection.
 
+    `rate_fn` must be pure. The coarse grid is evaluated from the top down
+    and the scan stops at the first point with a positive rate, which is the
+    last positive grid point; the bisection then refines the interval above
+    it. A grid point below that one is never evaluated, so an exception
+    rate_fn would raise there does not surface.
+
     Returns the range upper bound with `at_upper_boundary` set when the rate
     is still positive there. Raises NoSecureDistanceError when the rate is
-    non-positive over the whole range. On a normal return d, the bracket
-    rate_fn(d) > 0 and rate_fn(d + resolution) <= 0 holds. A coarse grid
-    that would exceed _MAX_GRID_POINTS, or whose step does not advance at
-    float resolution, raises DomainError before rate_fn is called.
+    non-positive over the whole range (every grid point is then evaluated).
+    On a normal return d, the bracket rate_fn(d) > 0 and
+    rate_fn(d + resolution) <= 0 holds. A coarse grid that would exceed
+    _MAX_GRID_POINTS, or whose step does not advance at float resolution,
+    raises DomainError before rate_fn is called.
     """
     if not all(map(math.isfinite, (from_km, to_km, coarse_step_km, resolution_km))):
         raise DomainError(f"search range and steps must be finite, got "
@@ -356,12 +363,12 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
                               f"float resolution at {d} km")
         grid.append(d)
 
-    positive = [rate_fn(d) > 0.0 for d in grid]
-    if not any(positive):
+    last = next((i for i in reversed(range(len(grid)))
+                 if rate_fn(grid[i]) > 0.0), None)
+    if last is None:
         raise NoSecureDistanceError(
             f"key rate is non-positive over [{from_km}, {to_km}] km"
         )
-    last = max(i for i, p in enumerate(positive) if p)
     if last == len(grid) - 1:
         return DistanceResult(grid[last], at_upper_boundary=True)
 

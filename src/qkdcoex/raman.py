@@ -118,6 +118,9 @@ def fit_raman_coefficient(measurements: Sequence[NoiseMeasurement],
     With model values m_i = P_i * L_i * 10^(-alpha*L_i/10), the minimizer of
     sum((r_i - rho*m_i)^2) is rho = sum(r_i*m_i) / sum(m_i^2).
     """
+    if not (math.isfinite(alpha_db_per_km) and alpha_db_per_km >= 0.0):
+        raise DomainError(f"attenuation must be finite and >= 0 dB/km, got "
+                          f"{alpha_db_per_km}")
     usable = [m for m in measurements
               if m.distance_km > 0.0 and m.fiber_input_power_mw > 0.0]
     if not usable:
@@ -141,19 +144,23 @@ def read_measurements_csv(path: str | Path) -> tuple[NoiseMeasurement, ...]:
     distance_km,power_mw,rate_cps."""
     expected = ["distance_km", "power_mw", "rate_cps"]
     out: list[NoiseMeasurement] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != expected:
-            raise ConfigError(
-                f"{path}: expected header {','.join(expected)}, "
-                f"got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                values = [float(row[k]) for k in expected]
-            except (TypeError, ValueError):
-                raise ConfigError(f"{path}:{lineno}: non-numeric field") from None
-            out.append(NoiseMeasurement(*values))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.DictReader(lines)
+    if reader.fieldnames != expected:
+        raise ConfigError(
+            f"{path}: expected header {','.join(expected)}, "
+            f"got {reader.fieldnames}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            values = [float(row[k]) for k in expected]
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: non-numeric field") from None
+        out.append(NoiseMeasurement(*values))
     return tuple(out)
 
 

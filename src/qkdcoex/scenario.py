@@ -329,9 +329,12 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
     By default a distance only counts when the classical channel closes at
     the launch power in use (launch >= loss + receiver sensitivity); beyond
     that point the coexistence link as a whole is not operable. Pass
-    require_classical_feasible=False for the rate-only cliff.
+    require_classical_feasible=False for the rate-only cliff. A negative
+    `from_km` is rejected before the search: the top-down coarse scan would
+    not reach it when a higher distance has a positive rate.
     """
-
+    if from_km < 0.0:
+        raise ConfigError(f"link length must be >= 0 km, got {from_km}")
     channel, key = _resolve(scenario)
 
     def rate(d: float) -> float:

@@ -143,6 +143,46 @@ def test_fit_raman(tmp_path, capsys):
     assert payload["rho_cps_per_mw_km"] == pytest.approx(2655.0, rel=1e-9)
 
 
+def _measurements_csv(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("distance_km,power_mw,rate_cps\n10,0.5,5000\n50,0.5,8000\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("alpha", ("-0.5", "nan", "inf"))
+def test_fit_raman_bad_attenuation_exit_1(alpha, tmp_path, capsys):
+    assert main(["fit-raman", "--measurements", str(_measurements_csv(tmp_path)),
+                 f"--alpha-db-per-km={alpha}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"attenuation must be finite and >= 0 dB/km, got {alpha}" in captured.err
+
+
+@pytest.mark.parametrize("verb, flag, content", (
+    ("max-distance", "--scenario", b"\xff" + SCENARIO_INI.encode()),
+    ("sweep", "--scenario", SCENARIO_INI.encode() + b"# \xff\n"),
+    ("fit-raman", "--measurements",
+     b"distance_km,power_mw,rate_cps\n10,0.5,5000\xff\n"),
+), ids=("max-distance", "sweep", "fit-raman"))
+def test_non_utf8_file_exit_1(verb, flag, content, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    extra = ["--alpha-db-per-km", "0.2"] if verb == "fit-raman" else []
+    assert main([verb, flag, str(path), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+    assert "not UTF-8 text" in captured.err
+
+
+def test_max_distance_negative_start_exit_1(capsys):
+    assert main(["max-distance", "--preset", "smf", "--from-km", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "link length must be >= 0 km, got -1.0" in captured.err
+
+
 def test_unknown_preset_exit_1(capsys):
     assert main(["sweep", "--preset", "nope"]) == 1
     assert "unknown preset" in capsys.readouterr().err

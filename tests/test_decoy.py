@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from qkdcoex import get_preset, scenario
 from qkdcoex.decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
-                           ProtocolParams, background_yield, binary_entropy,
-                           dbm_to_mw, e1_upper_bound, find_rate_cliff, gain_and_qber,
-                           key_rate_details, max_secure_distance_km,
-                           secure_key_rate_bps, y1_lower_bound)
+                           DistanceResult, ProtocolParams, background_yield,
+                           binary_entropy, dbm_to_mw, e1_upper_bound,
+                           find_rate_cliff, gain_and_qber, key_rate_details,
+                           max_secure_distance_km, secure_key_rate_bps,
+                           y1_lower_bound)
 from qkdcoex.errors import (ConfigError, DomainError, NoSecureDistanceError,
                             UndefinedBoundError)
+from qkdcoex.scenario import max_secure_distance
 
 INT = DecoyIntensities()          # 0.4 / 0.2 / 0 at 6:1:1
 PARAMS = ProtocolParams()         # 625 MHz, ed 0.033, f 1.16, q 0.5
@@ -299,6 +302,139 @@ class TestMaxDistance:
 
         with pytest.raises(DomainError, match=message):
             find_rate_cliff(rate, *args)
+
+
+def _coarse_grid(from_km, to_km, coarse_step_km):
+    grid = [from_km]
+    d = from_km
+    while d < to_km:
+        d = min(d + coarse_step_km, to_km)
+        if d == grid[-1]:
+            raise DomainError(f"coarse step {coarse_step_km} km is below the "
+                              f"float resolution at {d} km")
+        grid.append(d)
+    return grid
+
+
+def _bottom_up_cliff(rate_fn, from_km, to_km, coarse_step_km=1.0,
+                     resolution_km=0.01):
+    """`find_rate_cliff` as it was before the top-down scan: every coarse
+    point is evaluated from the bottom up, and the last positive one
+    starts the bisection."""
+    if not all(map(math.isfinite, (from_km, to_km, coarse_step_km, resolution_km))):
+        raise DomainError(f"search range and steps must be finite, got "
+                          f"[{from_km}, {to_km}], {coarse_step_km}, {resolution_km}")
+    if to_km < from_km:
+        raise DomainError(f"empty search range [{from_km}, {to_km}]")
+    if coarse_step_km <= 0.0 or resolution_km <= 0.0:
+        raise DomainError("steps must be > 0")
+    if (to_km - from_km) / coarse_step_km >= 1_000_000:
+        raise DomainError(f"coarse grid over [{from_km}, {to_km}] km at "
+                          f"{coarse_step_km} km exceeds 1000000 points")
+    grid = _coarse_grid(from_km, to_km, coarse_step_km)
+    positive = [rate_fn(d) > 0.0 for d in grid]
+    if not any(positive):
+        raise NoSecureDistanceError(
+            f"key rate is non-positive over [{from_km}, {to_km}] km")
+    last = max(i for i, p in enumerate(positive) if p)
+    if last == len(grid) - 1:
+        return DistanceResult(grid[last], at_upper_boundary=True)
+    lo, hi = grid[last], grid[last + 1]
+    while hi - lo > resolution_km:
+        mid = 0.5 * (lo + hi)
+        if rate_fn(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return DistanceResult(lo, at_upper_boundary=False)
+
+
+_RATES = (1.0, 0.0, -1.0, math.nan, 5e-324, 2.5e4)
+
+
+@st.composite
+def _cliff_cases(draw):
+    """A search range with coarse and fine steps, and a pure rate function:
+    a drawn pattern of rates on the coarse grid, and a cut below which the
+    rate is positive everywhere else (at the bisection midpoints)."""
+    from_km = draw(st.floats(-50.0, 400.0))
+    to_km = from_km + draw(st.floats(-1.0, 300.0))
+    step = draw(st.floats(0.5, 40.0))
+    resolution = draw(st.floats(1e-3, 2.0))
+    rng = draw(st.randoms(use_true_random=False))
+    cut = draw(st.floats(-50.0, 700.0))
+    grid = _coarse_grid(from_km, to_km, step) if to_km >= from_km else []
+    n = len(grid)
+    kind = draw(st.sampled_from(("random", "zeros", "top", "isolated")))
+    if kind == "random":
+        values = [rng.choice(_RATES) for _ in grid]
+    elif kind == "zeros":
+        values = [0.0] * n
+    elif kind == "top":
+        values = [0.0] * (n - 1) + [1.0]
+    else:
+        # one positive point with non-positive rates above it
+        top = rng.randrange(max(n, 1))
+        values = ([rng.choice(_RATES) for _ in range(top)] + [2.5e4]
+                  + [rng.choice((0.0, -1.0, math.nan)) for _ in range(n - top - 1)])
+    on_grid = dict(zip(grid, values))  # nothing for an empty range
+
+    def rate(d):
+        return on_grid[d] if d in on_grid else (1.0 if d < cut else 0.0)
+    return rate, (from_km, to_km, step, resolution), grid
+
+
+def _outcome(search, rate_fn, args):
+    try:
+        return search(rate_fn, *args)
+    except (DomainError, NoSecureDistanceError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTopDownScan:
+    @given(case=_cliff_cases())
+    def test_matches_bottom_up_scan(self, case):
+        rate, args, grid = case
+        calls = []
+
+        def recorded(d):
+            calls.append(d)
+            return rate(d)
+
+        result = _outcome(find_rate_cliff, recorded, args)
+        assert result == _outcome(_bottom_up_cliff, rate, args)
+        if isinstance(result, DistanceResult):
+            # The scan stops at the last positive grid point, the bottom of
+            # the bisection bracket: nothing below it is evaluated.
+            bracket_lo = max(d for d in grid if d <= result.distance_km)
+            assert min(calls) == bracket_lo
+        elif result[0] is NoSecureDistanceError:
+            assert calls == grid[::-1]
+        else:
+            assert calls == []
+
+    def test_raise_below_last_positive_point_not_surfaced(self):
+        def rate(d):
+            if d < 1.0:
+                raise AssertionError("evaluated below the last positive point")
+            return 1.0
+
+        assert find_rate_cliff(rate, 0.0, 5.0) == DistanceResult(5.0, True)
+
+    def test_negative_start_rejected_before_rate(self, monkeypatch):
+        calls = []
+
+        def counting(rate_fn, *args):
+            return find_rate_cliff(lambda d: calls.append(d) or rate_fn(d),
+                                   *args)
+
+        monkeypatch.setattr(scenario, "find_rate_cliff", counting)
+        with pytest.raises(ConfigError,
+                           match=re.escape("link length must be >= 0 km, got -1.0")):
+            max_secure_distance(get_preset("smf"), from_km=-1.0)
+        assert calls == []
+        max_secure_distance(get_preset("smf"), from_km=0.0)
+        assert calls
 
 
 class TestBackgroundYield:

@@ -10,7 +10,12 @@ grid search, before the grid was evaluated by row: they cover
 target sets, and the CLI `calibrate` text and JSON. The `max-distance`
 digests were recorded before the rate kernel was folded into one closure
 and the background error became a constant: the CLI text and JSON of every
-preset, with and without `--ignore-classical-budget`.
+preset, with and without `--ignore-classical-budget`. The offset-range
+`max-distance` digests were recorded before the coarse scan of the cliff
+search ran from the top down: text and JSON, exit code and stderr, for every
+preset, budget on and off, on ranges whose grid is offset from whole
+kilometres, that end below the cliff, that hold one point, that start past a
+cliff (exit 2), and on 250-260 km, where no preset has a secure distance.
 Anything that changes a digest changes the published results; such a
 change needs its own reason, stated where the digest is updated.
 """
@@ -221,3 +226,253 @@ def test_cli_max_distance(preset, fmt, ignore_budget, capsys):
                  *flags]) == 0
     assert (_sha(capsys.readouterr().out)
             == MAX_DISTANCE_GOLDEN[preset, fmt, ignore_budget])
+
+
+# `max-distance --from-km A --to-km B`, indexed below as
+# (preset, --ignore-classical-budget, index into MAX_DISTANCE_RANGES).
+MAX_DISTANCE_RANGES = (
+    ("0.5", "300.5"), ("7.25", "307.25"), ("19.6", "319.6"), ("33.3", "333.3"),
+    ("0.4", "80.55"), ("42", "42"), ("85", "95"), ("100.5", "200"),
+    ("250", "260"),
+)
+# sha256 over both formats (text, then JSON) of
+# "<exit code>\n<stdout>\0<stderr>"
+MAX_DISTANCE_RANGE_GOLDEN = {
+    ("fig4-full", False, 0):
+        "1cc9e614e349e7b5cb0bbe7fba0c202097a65f2ca3257f21d1efd5483fa71249",
+    ("fig4-full", False, 1):
+        "1cc9e614e349e7b5cb0bbe7fba0c202097a65f2ca3257f21d1efd5483fa71249",
+    ("fig4-full", False, 2):
+        "0ef438691e65e5fd655c726c5a6e382ef26e554eab1b8576766f0f464bfd9fc4",
+    ("fig4-full", False, 3):
+        "48795d0da2f9e2452e912b85ae2bf5d89a20efda974c2fcb38cefcaec7f23d83",
+    ("fig4-full", False, 4):
+        "e6618ea2ce41abccb7c1449c4892aa2c0628077417e5cc94f80dabeb72e8ae57",
+    ("fig4-full", False, 5):
+        "4f91a9a2c64802ba6b560c57303be4070a7478356a6b176fc906374090435e35",
+    ("fig4-full", False, 6):
+        "3208615783fa8665226d2b7daa1c35338637ebaf0833c58fb624e0dd60124a91",
+    ("fig4-full", False, 7):
+        "1cc9e614e349e7b5cb0bbe7fba0c202097a65f2ca3257f21d1efd5483fa71249",
+    ("fig4-full", False, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("fig4-full", True, 0):
+        "6ea5c61bb46c3a5a7c410ad2ed24afd85f847d77a7348706bef245196b6e86f3",
+    ("fig4-full", True, 1):
+        "6ea5c61bb46c3a5a7c410ad2ed24afd85f847d77a7348706bef245196b6e86f3",
+    ("fig4-full", True, 2):
+        "8774793390b587a4ac204f05ce6f493b500f9b0bb1454d7e139f6608bf9a82b1",
+    ("fig4-full", True, 3):
+        "88302f682821a22c27059831c3804a5ff68da4c62c7b0327b71db0a1622689ba",
+    ("fig4-full", True, 4):
+        "e6618ea2ce41abccb7c1449c4892aa2c0628077417e5cc94f80dabeb72e8ae57",
+    ("fig4-full", True, 5):
+        "4f91a9a2c64802ba6b560c57303be4070a7478356a6b176fc906374090435e35",
+    ("fig4-full", True, 6):
+        "3208615783fa8665226d2b7daa1c35338637ebaf0833c58fb624e0dd60124a91",
+    ("fig4-full", True, 7):
+        "bdfd2b2d1e7ab57cad323dfd4b6d44b1810e52bb13c6ee8b702761ed8e8307c8",
+    ("fig4-full", True, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("fig4-power", False, 0):
+        "da7afc56e8ae70dde8f8bbf965d1440bf7219431c214419d3fc6e94a73792386",
+    ("fig4-power", False, 1):
+        "da7afc56e8ae70dde8f8bbf965d1440bf7219431c214419d3fc6e94a73792386",
+    ("fig4-power", False, 2):
+        "c9586848fd50fd0d039671f0591e744b641317b92afa766ef656f205467d64d3",
+    ("fig4-power", False, 3):
+        "0e551f26b47ff7675fb155ba591f5fa0ee91cb89fc81b588c04386304eca0ba5",
+    ("fig4-power", False, 4):
+        "28378987b5b0010fec591219f5795160830aea380494258aff9459d36040efea",
+    ("fig4-power", False, 5):
+        "3ef26125596aa9f0d9ee8ef51c2fe1b0e901efdc34222a64288adbeb056e9e75",
+    ("fig4-power", False, 6):
+        "da7afc56e8ae70dde8f8bbf965d1440bf7219431c214419d3fc6e94a73792386",
+    ("fig4-power", False, 7):
+        "f0bf1805c88cfce339ed1173d4ed9e3471c61ef36cb8e9700ce3d9056f4443a4",
+    ("fig4-power", False, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("fig4-power", True, 0):
+        "7f05977ed7993e64f949a9e8adf179cedadccf3e144f9eb8a654cb3c58153858",
+    ("fig4-power", True, 1):
+        "7f05977ed7993e64f949a9e8adf179cedadccf3e144f9eb8a654cb3c58153858",
+    ("fig4-power", True, 2):
+        "265700906c78d6262d93ce990139c19e5ba9231efd8ac04be942e7d57ff66606",
+    ("fig4-power", True, 3):
+        "cc2a520ac265b3578b748e4fe1903019cd4bd16f940d0c462a2e28170e857043",
+    ("fig4-power", True, 4):
+        "28378987b5b0010fec591219f5795160830aea380494258aff9459d36040efea",
+    ("fig4-power", True, 5):
+        "3ef26125596aa9f0d9ee8ef51c2fe1b0e901efdc34222a64288adbeb056e9e75",
+    ("fig4-power", True, 6):
+        "15ab84fd72887794dfc80f813c451f030e47128159d8f1a25c615496cc24f368",
+    ("fig4-power", True, 7):
+        "7f05977ed7993e64f949a9e8adf179cedadccf3e144f9eb8a654cb3c58153858",
+    ("fig4-power", True, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("fig4-power-fmf", False, 0):
+        "fda9cfc16c120f27ada3a425742e990744d0cfd0ec92676bffb83d1b10fdad28",
+    ("fig4-power-fmf", False, 1):
+        "fda9cfc16c120f27ada3a425742e990744d0cfd0ec92676bffb83d1b10fdad28",
+    ("fig4-power-fmf", False, 2):
+        "cf9183f95e94a353167fd9bf136d6a16d230a56a2bea1ae894d11f9fd89e3077",
+    ("fig4-power-fmf", False, 3):
+        "283f69bbdd107f2cd99e90c9ff45868dd83f214290bc7872f88de79b1d16c404",
+    ("fig4-power-fmf", False, 4):
+        "3ab38fe35e7f1f0b7cb2e00e91f22ab1b0cf81aa7c6bc644a78f0fba65c62091",
+    ("fig4-power-fmf", False, 5):
+        "ab138f0e002dde6f1ddd8029603117b944d9d3a1066f869fd65d9fbe15e26c3d",
+    ("fig4-power-fmf", False, 6):
+        "c05eb5521b3c705173ac42805e14ead6b790858eb6f8ed37e6937040573166b3",
+    ("fig4-power-fmf", False, 7):
+        "fda9cfc16c120f27ada3a425742e990744d0cfd0ec92676bffb83d1b10fdad28",
+    ("fig4-power-fmf", False, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("fig4-power-fmf", True, 0):
+        "e2ed00703d0271a5e556fb6fcc8800b6ef6b76311ab18a0ab45e2e667a011d0c",
+    ("fig4-power-fmf", True, 1):
+        "e2ed00703d0271a5e556fb6fcc8800b6ef6b76311ab18a0ab45e2e667a011d0c",
+    ("fig4-power-fmf", True, 2):
+        "90cb3f1394219ea96f91c79f8e67e86f145b9f881eb44145f903855300dc0e53",
+    ("fig4-power-fmf", True, 3):
+        "2129c9cfaad33ba8203c1fb04d980d4e64efa223f05dc965236277f3f5a70934",
+    ("fig4-power-fmf", True, 4):
+        "3ab38fe35e7f1f0b7cb2e00e91f22ab1b0cf81aa7c6bc644a78f0fba65c62091",
+    ("fig4-power-fmf", True, 5):
+        "ab138f0e002dde6f1ddd8029603117b944d9d3a1066f869fd65d9fbe15e26c3d",
+    ("fig4-power-fmf", True, 6):
+        "c05eb5521b3c705173ac42805e14ead6b790858eb6f8ed37e6937040573166b3",
+    ("fig4-power-fmf", True, 7):
+        "e2ed00703d0271a5e556fb6fcc8800b6ef6b76311ab18a0ab45e2e667a011d0c",
+    ("fig4-power-fmf", True, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("lp01in", False, 0):
+        "49781a1fb87fcfe69d0789bf414f8db0ba155410a40ec7474e5880e700f72483",
+    ("lp01in", False, 1):
+        "49781a1fb87fcfe69d0789bf414f8db0ba155410a40ec7474e5880e700f72483",
+    ("lp01in", False, 2):
+        "dd024c60debb4312c1ff8dc1792e88dbc789b3f9bc8b62cf8b9210dddc8dd73f",
+    ("lp01in", False, 3):
+        "5822f3c06ee91b533bfde0789858ab32320faa1457b65ff2ba215c38e746659a",
+    ("lp01in", False, 4):
+        "b5b9aaaa0e39b22c5ee0930a88a5deff580adbd6bc453548a81dc5b9dd8f54b7",
+    ("lp01in", False, 5):
+        "54bcaeec94b97624dd98997e383fce92303cb65a06bc2c58f4724a9c8d3afa54",
+    ("lp01in", False, 6):
+        "49781a1fb87fcfe69d0789bf414f8db0ba155410a40ec7474e5880e700f72483",
+    ("lp01in", False, 7):
+        "f0bf1805c88cfce339ed1173d4ed9e3471c61ef36cb8e9700ce3d9056f4443a4",
+    ("lp01in", False, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("lp01in", True, 0):
+        "49781a1fb87fcfe69d0789bf414f8db0ba155410a40ec7474e5880e700f72483",
+    ("lp01in", True, 1):
+        "49781a1fb87fcfe69d0789bf414f8db0ba155410a40ec7474e5880e700f72483",
+    ("lp01in", True, 2):
+        "dd024c60debb4312c1ff8dc1792e88dbc789b3f9bc8b62cf8b9210dddc8dd73f",
+    ("lp01in", True, 3):
+        "5822f3c06ee91b533bfde0789858ab32320faa1457b65ff2ba215c38e746659a",
+    ("lp01in", True, 4):
+        "b5b9aaaa0e39b22c5ee0930a88a5deff580adbd6bc453548a81dc5b9dd8f54b7",
+    ("lp01in", True, 5):
+        "54bcaeec94b97624dd98997e383fce92303cb65a06bc2c58f4724a9c8d3afa54",
+    ("lp01in", True, 6):
+        "49781a1fb87fcfe69d0789bf414f8db0ba155410a40ec7474e5880e700f72483",
+    ("lp01in", True, 7):
+        "f0bf1805c88cfce339ed1173d4ed9e3471c61ef36cb8e9700ce3d9056f4443a4",
+    ("lp01in", True, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("lp02in", False, 0):
+        "04e65c4ae1b9a1a4745e9e639853cdcaebb45c09ca96753fd05d86e2c3df4a23",
+    ("lp02in", False, 1):
+        "04e65c4ae1b9a1a4745e9e639853cdcaebb45c09ca96753fd05d86e2c3df4a23",
+    ("lp02in", False, 2):
+        "74ed12dbf3aaa2433068a62ccbc843bae3553fbe80212f1bf6b4c79ee92d99c8",
+    ("lp02in", False, 3):
+        "168130eb85d6526b8db793632d42e6270334fad103612bcf0ec7c9c224f041a6",
+    ("lp02in", False, 4):
+        "f95f0d3fea67aee461ee64d4c6c442fc23724717b86bc95ee879dfa81a0865ac",
+    ("lp02in", False, 5):
+        "59237d4d562b1339eb56fa40323046b486ef1aa15b9e049a735f25059f929345",
+    ("lp02in", False, 6):
+        "04e65c4ae1b9a1a4745e9e639853cdcaebb45c09ca96753fd05d86e2c3df4a23",
+    ("lp02in", False, 7):
+        "f0bf1805c88cfce339ed1173d4ed9e3471c61ef36cb8e9700ce3d9056f4443a4",
+    ("lp02in", False, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("lp02in", True, 0):
+        "c9c877d11b2d646978e3cf11052401da406eae09f031f0e6c81c0407b64c6e56",
+    ("lp02in", True, 1):
+        "c9c877d11b2d646978e3cf11052401da406eae09f031f0e6c81c0407b64c6e56",
+    ("lp02in", True, 2):
+        "fe13f2e8b0a0897071d20c6aee796fbecfbce90e08da13095381bb4118825116",
+    ("lp02in", True, 3):
+        "e14881d7a78f6e38a6c1ed2a62f8580cbee54008a89d941864ae32267187b9cc",
+    ("lp02in", True, 4):
+        "f95f0d3fea67aee461ee64d4c6c442fc23724717b86bc95ee879dfa81a0865ac",
+    ("lp02in", True, 5):
+        "59237d4d562b1339eb56fa40323046b486ef1aa15b9e049a735f25059f929345",
+    ("lp02in", True, 6):
+        "cd2c7d6e3e032aab1362d0feca0cd734b36fb116027288585a69de49e4aaaec4",
+    ("lp02in", True, 7):
+        "c9c877d11b2d646978e3cf11052401da406eae09f031f0e6c81c0407b64c6e56",
+    ("lp02in", True, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("smf", False, 0):
+        "78ac85615b930f80ebbfb1ce1433223dcd1d54e7658f248004bd41b98579cb95",
+    ("smf", False, 1):
+        "78ac85615b930f80ebbfb1ce1433223dcd1d54e7658f248004bd41b98579cb95",
+    ("smf", False, 2):
+        "12342a566207b61f0dd3353b4fdd56c6da2816bb3c020b28c8f425cbf543e95d",
+    ("smf", False, 3):
+        "e21d9613df5565ad1fc7c2e5cc0bebb35b5c75099914b4ee32d6d650706f8844",
+    ("smf", False, 4):
+        "3727f59a10545ded39332cfc9f509eb8fb36d89755ccb96c3ff66c7a459b423e",
+    ("smf", False, 5):
+        "a2708ddd22b197cf6dcbd5666a9926a2561f6f40d3f8ef3703fefc01555e089f",
+    ("smf", False, 6):
+        "53f61d2552885865aea0630f60f32578e2ba85239f810c9133cdba9e31cb1c3d",
+    ("smf", False, 7):
+        "78ac85615b930f80ebbfb1ce1433223dcd1d54e7658f248004bd41b98579cb95",
+    ("smf", False, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+    ("smf", True, 0):
+        "78ac85615b930f80ebbfb1ce1433223dcd1d54e7658f248004bd41b98579cb95",
+    ("smf", True, 1):
+        "78ac85615b930f80ebbfb1ce1433223dcd1d54e7658f248004bd41b98579cb95",
+    ("smf", True, 2):
+        "12342a566207b61f0dd3353b4fdd56c6da2816bb3c020b28c8f425cbf543e95d",
+    ("smf", True, 3):
+        "e21d9613df5565ad1fc7c2e5cc0bebb35b5c75099914b4ee32d6d650706f8844",
+    ("smf", True, 4):
+        "3727f59a10545ded39332cfc9f509eb8fb36d89755ccb96c3ff66c7a459b423e",
+    ("smf", True, 5):
+        "a2708ddd22b197cf6dcbd5666a9926a2561f6f40d3f8ef3703fefc01555e089f",
+    ("smf", True, 6):
+        "53f61d2552885865aea0630f60f32578e2ba85239f810c9133cdba9e31cb1c3d",
+    ("smf", True, 7):
+        "78ac85615b930f80ebbfb1ce1433223dcd1d54e7658f248004bd41b98579cb95",
+    ("smf", True, 8):
+        "983156ec6263f0265caae4f164fb43da525cfed192fd4e45952fa8d599694889",
+}
+
+
+def test_max_distance_ranges_cover_every_case():
+    assert sorted(MAX_DISTANCE_RANGE_GOLDEN) == sorted(
+        (p, ignore, i) for p in preset_names() for ignore in (False, True)
+        for i in range(len(MAX_DISTANCE_RANGES)))
+
+
+@pytest.mark.parametrize("preset, ignore_budget, index",
+                         sorted(MAX_DISTANCE_RANGE_GOLDEN))
+def test_cli_max_distance_ranges(preset, ignore_budget, index, capsys):
+    from_km, to_km = MAX_DISTANCE_RANGES[index]
+    flags = ["--ignore-classical-budget"] if ignore_budget else []
+    record = ""
+    for fmt in ("text", "json"):
+        code = main(["max-distance", "--preset", preset, "--from-km", from_km,
+                     "--to-km", to_km, "--format", fmt, *flags])
+        captured = capsys.readouterr()
+        record += f"{code}\n{captured.out}\0{captured.err}"
+    assert (_sha(record)
+            == MAX_DISTANCE_RANGE_GOLDEN[preset, ignore_budget, index])

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -133,6 +134,18 @@ class TestFit:
         with pytest.raises(DegenerateFitError):
             fit_raman_coefficient([NoiseMeasurement(1e6, 1.0, 5.0)], 0.9)
 
+    # A negative attenuation amplifies the fiber; NaN and inf gave
+    # misleading overflow and degenerate-fit errors.
+    @pytest.mark.parametrize("alpha", (-0.5, -1e-300, math.nan, math.inf,
+                                       -math.inf))
+    def test_attenuation_rejected(self, alpha):
+        with pytest.raises(DomainError, match="attenuation must be finite"):
+            fit_raman_coefficient([NoiseMeasurement(30.0, 0.8, 5.0)], alpha)
+
+    def test_zero_attenuation_fits(self):
+        fit = fit_raman_coefficient([NoiseMeasurement(30.0, 0.8, 48.0)], 0.0)
+        assert fit.rho_cps_per_mw_km == pytest.approx(2.0, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             NoiseMeasurement(-1.0, 1.0, 1.0)
@@ -149,6 +162,12 @@ class TestMeasurementCsv:
         points = read_measurements_csv(path)
         assert points == (NoiseMeasurement(10.0, 0.5495, 5000.0),
                           NoiseMeasurement(50.5, 0.5495, 31000.25))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "noise.csv"
+        path.write_bytes(b"distance_km,power_mw,rate_cps\n10,0.5,50\xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            read_measurements_csv(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "noise.csv"
