@@ -99,6 +99,11 @@ class DetectorSpec:
             raise ConfigError(f"gate frequency must be > 0, got {self.gate_hz}")
         if self.num_detectors < 1:
             raise ConfigError(f"need >= 1 detector, got {self.num_detectors}")
+        try:
+            float(self.num_detectors)   # the dark-count term multiplies by it
+        except OverflowError:
+            raise ConfigError("detector num_detectors is too large to "
+                              "convert to a float") from None
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,8 @@ def read_measurements_csv(path: str | Path) -> tuple[NoiseMeasurement, ...]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read measurements file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.DictReader(lines)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     DetectorSpec, DistanceResult, ProtocolParams, _decoy_chain,
                     _kernel, _rate_per_pulse, background_yield, dbm_to_mw,
@@ -231,7 +229,9 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec) -> list[ResultRow]:
 
 def _scientific():
     """numpy's Dragon4 formatter without the argument checks of its public
-    wrapper `np.format_float_scientific` (the fallback): the same strings."""
+    wrapper `np.format_float_scientific` (the fallback): the same strings.
+    numpy is imported here, so a process that writes no CSV never loads it."""
+    import numpy as np
     for module in ("numpy._core.multiarray", "numpy.core.multiarray"):
         try:
             return importlib.import_module(module).dragon4_scientific
@@ -240,7 +240,24 @@ def _scientific():
     return np.format_float_scientific
 
 
-_SCIENTIFIC = _scientific()
+def _formatter():
+    """The CSV float formatter, resolved at first use and cached in the
+    module global `_SCIENTIFIC`."""
+    global _SCIENTIFIC
+    try:
+        return _SCIENTIFIC
+    except NameError:
+        _SCIENTIFIC = _scientific()
+        return _SCIENTIFIC
+
+
+def __getattr__(name):
+    # PEP 562: `scenario._SCIENTIFIC` read before the first CSV resolves it.
+    if name == "_SCIENTIFIC":
+        return _formatter()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 _CHUNK_ROWS = 4096
 _CSV_HEADER = ",".join(RESULT_FIELDS) + "\n"
 _CSV_ROW = ",".join(["%s"] * len(RESULT_FIELDS)) + "\n"
@@ -254,10 +271,11 @@ _BOOL = {True: "true", False: "false"}
 
 
 def _csv_chunks(table: list[tuple]):
+    scientific = _formatter()
     yield _CSV_HEADER
     for start in range(0, len(table), _CHUNK_ROWS):
         *numbers, feasible = zip(*table[start:start + _CHUNK_ROWS])
-        columns = [[_SCIENTIFIC(v, unique=True) for v in col]
+        columns = [[scientific(v, unique=True) for v in col]
                    for col in numbers]
         columns.append([_BOOL[f] for f in feasible])
         yield "".join(map(_CSV_ROW.__mod__, zip(*columns)))

@@ -159,6 +159,33 @@ def test_fit_raman_bad_attenuation_exit_1(alpha, tmp_path, capsys):
     assert f"attenuation must be finite and >= 0 dB/km, got {alpha}" in captured.err
 
 
+def test_fit_raman_missing_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "nope.csv"
+    assert main(["fit-raman", "--measurements", str(path),
+                 "--alpha-db-per-km", "0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"qkdcoex: cannot read measurements file {path}: [Errno 2]")
+
+
+# 10**400 detectors: an int too large for a float, which the dark-count
+# term of Y0 needs.
+@pytest.mark.parametrize("argv", (
+    ["max-distance"],
+    ["sweep", "--from-km", "0", "--to-km", "1", "--step-km", "1"],
+))
+def test_overflowing_num_detectors_exit_1(argv, tmp_path, capsys):
+    path = tmp_path / "many.ini"
+    path.write_text(SCENARIO_INI + "\n[detector]\nnum_detectors = 1"
+                    + "0" * 400 + "\n", encoding="utf-8")
+    assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qkdcoex: detector num_detectors is too large "
+                            "to convert to a float\n")
+
+
 @pytest.mark.parametrize("verb, flag, content", (
     ("max-distance", "--scenario", b"\xff" + SCENARIO_INI.encode()),
     ("sweep", "--scenario", SCENARIO_INI.encode() + b"# \xff\n"),

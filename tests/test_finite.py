@@ -18,7 +18,7 @@ from qkdcoex.link import ComponentSpec, FiberSpec, IsolationTable, Mode, Side
 from qkdcoex.presets import get_preset
 from qkdcoex.raman import NoiseMeasurement, RamanCoefficient
 from qkdcoex.scenario import (CalibrationReport, CalibrationTarget,
-                              SweepSpec)
+                              SweepSpec, evaluate_at)
 
 _SMF = get_preset("smf")
 
@@ -69,3 +69,12 @@ _CASES = [
 def test_non_finite_float_rejected(build, value):
     with pytest.raises(ConfigError):
         build(value)
+
+
+def test_overflowing_num_detectors_rejected():
+    # Finite as an int, but Y0's dark-count term needs it as a float: the
+    # detector is rejected when built, so no evaluation ever sees it.
+    with pytest.raises(ConfigError, match="num_detectors is too large"):
+        replace(_SMF.detector, num_detectors=10**400)
+    wide = replace(_SMF, detector=replace(_SMF.detector, num_detectors=10**300))
+    assert math.isfinite(evaluate_at(wide, 10.0).y0)
