@@ -11,14 +11,13 @@ import functools
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import presets as presets_mod
 from .config import _load_scenario_file
-from .errors import ComputationError, QkdCoexError
+from .errors import ComputationError, ConfigError, QkdCoexError
 from .raman import fit_raman_coefficient, read_measurements_csv
-from .scenario import (Scenario, SweepSpec, _chunks, _sweep_table,
-                       _write_table, calibrate, max_secure_distance)
+from .scenario import (Scenario, SweepSpec, _chunks, _sweep_table, calibrate,
+                       max_secure_distance)
 
 _DEFAULT_SWEEP = SweepSpec(0.0, 100.0, 1.0)
 
@@ -46,11 +45,22 @@ def _resolve_scenario(args) -> tuple[Scenario, SweepSpec | None]:
     return _load_scenario_file(args.scenario)
 
 
-def _write_or_print(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out: str | None):
+    """Write the text pieces to the `--out` file, or to stdout without one.
+    A path that cannot be opened is a usage problem (exit 1); an error
+    while writing to the open file is a failure (exit 2)."""
+    if not out:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write results to {out}: {exc}") from exc
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ComputationError(f"cannot write results to {out}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,10 +123,7 @@ def _cmd_sweep(args) -> int:
     # The whole table is computed before any output, so a failed sweep
     # leaves no --out file.
     table = _sweep_table(scenario, sweep)
-    if args.out:
-        _write_table(table, args.format, args.out)
-    else:
-        sys.stdout.writelines(_chunks(table, args.format))
+    _emit(_chunks(table, args.format), args.out)
     return 0
 
 
@@ -136,7 +143,7 @@ def _cmd_max_distance(args) -> int:
         note = " (at search boundary)" if result.at_upper_boundary else ""
         text = (f"{scenario.name}: max secure distance "
                 f"{result.distance_km:.2f} km{note}\n")
-    _write_or_print(text, args.out)
+    _emit([text], args.out)
     return 0
 
 
@@ -180,7 +187,7 @@ def _cmd_calibrate(args) -> int:
                 f"{100 * r.qber_delta:+.2f} pp)"
             )
         text = "\n".join(lines) + "\n"
-    _write_or_print(text, args.out)
+    _emit([text], args.out)
     return 0
 
 
@@ -196,7 +203,7 @@ def _cmd_fit_raman(args) -> int:
     else:
         text = (f"rho = {coeff.rho_cps_per_mw_km:.6g} cps/(mW km) "
                 f"from {len(measurements)} measurement(s)\n")
-    _write_or_print(text, args.out)
+    _emit([text], args.out)
     return 0
 
 

@@ -186,22 +186,9 @@ class DistanceResult:
 
 # ---------------------------------------------------------------------------
 # per-point kernels: evaluated once per sweep point, calibration grid cell
-# and bisection step, on arguments the public functions below validate
-
-def _h2(x: float) -> float:
-    """Binary entropy in bits; 0 at both endpoints by continuity."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def _gain_qber(eta: float, intensity: float, y0: float,
-               ed: float) -> tuple[float, float]:
-    """Gain Q and QBER E of one Poissonian intensity; see `gain_and_qber`."""
-    signal = -math.expm1(-eta * intensity)
-    q = y0 + signal
-    return q, ((_E0 * y0 + ed * signal) / q if q > 0.0 else _E0)
-
+# and bisection step, on arguments the public functions below validate.
+# `_y1_lower` and `_e1_upper` state the two bounds with their clamp events;
+# the bound `_decoy_chain` writes them out with its constants computed once.
 
 def _y1_lower(qmu: float, qnu: float, mu: float, nu: float,
               y0: float) -> tuple[float, int]:
@@ -232,25 +219,58 @@ def _e1_upper(enu: float, qnu: float, nu: float, y1: float,
     return raw, 0
 
 
-def _decoy_chain(eta: float, y0: float, mu: float, nu: float, ed: float):
-    """The part of the key rate that does not depend on the EC efficiency f.
+def _decoy_chain(mu: float, nu: float):
+    """The part of the key rate that does not depend on the EC efficiency f,
+    with the intensity constants of the vacuum+weak bound bound once.
 
-    Returns (Qmu, Emu, Qnu, Enu, Y1L, e1U, clamp events, terms), where
-    `terms` = (-Qmu, H2(Emu), Q1 * (1 - H2(e1U))) feeds `_rate_per_pulse`,
-    or is None when the yield bound vanishes: the rate is then zero, with
-    e1 pinned at 0.5.
+    `chain(eta, y0, ed)` returns (Qmu, Emu, Qnu, Enu, Y1L, e1U, clamp
+    events, terms), where `terms` = (-Qmu, H2(Emu), Q1 * (1 - H2(e1U)))
+    feeds `_rate_per_pulse`, or is None when the yield bound vanishes: the
+    rate is then zero, with e1 pinned at 0.5. Each step is the one of
+    `gain_and_qber`, `y1_lower_bound`, `e1_upper_bound` and
+    `binary_entropy`, written out with the operations in their order, so
+    every value carries their bits; only the constants (e^mu, e^nu, e^-mu,
+    nu^2, mu^2 and the two quotients that hold nothing but mu and nu) are
+    computed once.
     """
-    qmu, emu = _gain_qber(eta, mu, y0, ed)
-    qnu, enu = _gain_qber(eta, nu, y0, ed)
+    e_mu, e_nu, e_neg_mu = math.exp(mu), math.exp(nu), math.exp(-mu)
+    nu2, mu2 = nu * nu, mu * mu
+    scale = mu / (mu * nu - nu2)
+    vacuum = (mu2 - nu2) / mu2
+    log2 = math.log2
+    expm1 = math.expm1
 
-    y1, clamps = _y1_lower(qmu, qnu, mu, nu, y0)
-    if y1 <= 0.0:
-        return qmu, emu, qnu, enu, y1, 0.5, clamps + 1, None
+    def chain(eta, y0, ed):
+        signal = -expm1(-eta * mu)
+        qmu = y0 + signal
+        emu = (_E0 * y0 + ed * signal) / qmu if qmu > 0.0 else _E0
+        signal = -expm1(-eta * nu)
+        qnu = y0 + signal
+        enu = (_E0 * y0 + ed * signal) / qnu if qnu > 0.0 else _E0
 
-    e1, c = _e1_upper(enu, qnu, nu, y1, y0, _E0)
-    q1 = y1 * mu * math.exp(-mu)
-    return (qmu, emu, qnu, enu, y1, e1, clamps + c,
-            (-qmu, _h2(emu), q1 * (1.0 - _h2(e1))))
+        # A raw bound of exactly +-0.0 is returned unclamped, as
+        # `_y1_lower` does, and then counts one clamp event below.
+        y1 = scale * (qnu * e_nu - qmu * e_mu * nu2 / mu2 - vacuum * y0)
+        clamps = 0
+        if y1 < 0.0:
+            y1, clamps = 0.0, 1
+        elif y1 > 1.0:
+            y1, clamps = 1.0, 1
+        if y1 <= 0.0:
+            return qmu, emu, qnu, enu, y1, 0.5, clamps + 1, None
+
+        e1 = (enu * qnu * e_nu - _E0 * y0) / (y1 * nu)
+        if e1 < 0.0:
+            e1, clamps = 0.0, clamps + 1
+        elif e1 > 0.5:
+            e1, clamps = 0.5, clamps + 1
+        h_emu = (0.0 if emu <= 0.0 or emu >= 1.0 else
+                 -emu * log2(emu) - (1.0 - emu) * log2(1.0 - emu))
+        h_e1 = (0.0 if e1 <= 0.0 or e1 >= 1.0 else
+                -e1 * log2(e1) - (1.0 - e1) * log2(1.0 - e1))
+        return (qmu, emu, qnu, enu, y1, e1, clamps,
+                (-qmu, h_emu, y1 * mu * e_neg_mu * (1.0 - h_e1)))
+    return chain
 
 
 def _rate_per_pulse(terms: tuple, f_ec: float, q_sift: float) -> float:
@@ -268,12 +288,12 @@ def _kernel(intensities: DecoyIntensities, params: ProtocolParams):
     ed, f)` gives the `KeyRateBreakdown` fields in order, from the same two
     steps the calibration grid uses, with rate_bps = rate_per_pulse *
     clock_hz * p_mu. ed and f default to those of `params`."""
-    mu, nu, p_mu = intensities.mu, intensities.nu, intensities.p_mu
+    chain = _decoy_chain(intensities.mu, intensities.nu)
+    p_mu = intensities.p_mu
     q_sift, clock_hz = params.sifting_factor, params.clock_hz
 
     def key(eta, y0, ed=params.misalignment_error, f=params.ec_efficiency):
-        qmu, emu, qnu, enu, y1, e1, clamps, terms = _decoy_chain(
-            eta, y0, mu, nu, ed)
+        qmu, emu, qnu, enu, y1, e1, clamps, terms = chain(eta, y0, ed)
         r = 0.0 if terms is None else _rate_per_pulse(terms, f, q_sift)
         return qmu, emu, qnu, enu, y1, e1, r, r * clock_hz * p_mu, clamps
     return key
@@ -283,7 +303,9 @@ def binary_entropy(x: float) -> float:
     """H2(x) = -x log2 x - (1-x) log2 (1-x), with H2(0) = H2(1) = 0."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"binary entropy argument must be in [0, 1], got {x}")
-    return _h2(x)
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def gain_and_qber(intensity: float, ch: ChannelPoint,
@@ -295,7 +317,10 @@ def gain_and_qber(intensity: float, ch: ChannelPoint,
     """
     if intensity < 0.0:
         raise DomainError(f"intensity must be >= 0, got {intensity}")
-    return _gain_qber(ch.eta, intensity, ch.y0, params.misalignment_error)
+    signal = -math.expm1(-ch.eta * intensity)
+    q = ch.y0 + signal
+    return q, ((_E0 * ch.y0 + params.misalignment_error * signal) / q
+               if q > 0.0 else _E0)
 
 
 def y1_lower_bound(q_mu: float, q_nu: float, intensities: DecoyIntensities,
@@ -331,7 +356,9 @@ def secure_key_rate_bps(ch: ChannelPoint, intensities: DecoyIntensities,
 
 def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
                     to_km: float, coarse_step_km: float = 1.0,
-                    resolution_km: float = 0.01) -> DistanceResult:
+                    resolution_km: float = 0.01,
+                    feasible_fn: Callable[[float], bool] | None = None
+                    ) -> DistanceResult:
     """Largest distance with rate_fn > 0: coarse grid scan, then bisection.
 
     `rate_fn` must be pure. The coarse grid is evaluated from the top down
@@ -340,13 +367,21 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
     it. A grid point below that one is never evaluated, so an exception
     rate_fn would raise there does not surface.
 
+    `feasible_fn`, when given, must be pure, true on a prefix of the
+    ascending coarse grid and false on the rest, and must not raise; where
+    it is false, rate_fn must return a non-positive rate without raising.
+    The scan then finds the first false grid point by bisection over the
+    grid and starts just below it. The points it skips are ones the full
+    scan would have found non-positive, so the result, or the exception,
+    is the one of the full scan.
+
     Returns the range upper bound with `at_upper_boundary` set when the rate
     is still positive there. Raises NoSecureDistanceError when the rate is
-    non-positive over the whole range (every grid point is then evaluated).
-    On a normal return d, the bracket rate_fn(d) > 0 and
-    rate_fn(d + resolution) <= 0 holds. A coarse grid that would exceed
-    _MAX_GRID_POINTS, or whose step does not advance at float resolution,
-    raises DomainError before rate_fn is called.
+    non-positive over the whole range (every grid point below the first
+    infeasible one is then evaluated). On a normal return d, the bracket
+    rate_fn(d) > 0 and rate_fn(d + resolution) <= 0 holds. A coarse grid
+    that would exceed _MAX_GRID_POINTS, or whose step does not advance at
+    float resolution, raises DomainError before rate_fn is called.
     """
     if not all(map(math.isfinite, (from_km, to_km, coarse_step_km, resolution_km))):
         raise DomainError(f"search range and steps must be finite, got "
@@ -368,7 +403,16 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
                               f"float resolution at {d} km")
         grid.append(d)
 
-    last = next((i for i in reversed(range(len(grid)))
+    top = len(grid)
+    if feasible_fn is not None:
+        lo = 0
+        while lo < top:
+            mid = (lo + top) // 2
+            if feasible_fn(grid[mid]):
+                lo = mid + 1
+            else:
+                top = mid
+    last = next((i for i in reversed(range(top))
                  if rate_fn(grid[i]) > 0.0), None)
     if last is None:
         raise NoSecureDistanceError(
@@ -409,6 +453,21 @@ def max_secure_distance_km(evaluator: Callable[[float], ChannelPoint],
                            coarse_step_km, resolution_km)
 
 
+def _dark_yield(detector: DetectorSpec, clock_hz: float) -> float:
+    """Dark-count part of Y0: num_detectors * dark_per_gate * gates-per-pulse."""
+    return (detector.num_detectors * detector.dark_count_per_gate
+            * (detector.gate_hz / clock_hz))
+
+
+def _y0_step(dark: float, divisor_hz: float) -> Callable[[float], float]:
+    """The Y0 step with its constants bound once: `y0(noise_rate_cps)` is
+    min(1, dark + min(1, noise_rate_cps / divisor_hz)), the noise rate
+    taken per pulse and clamped, then added to the dark-count term."""
+    def y0(noise_rate_cps: float) -> float:
+        return min(1.0, dark + min(1.0, noise_rate_cps / divisor_hz))
+    return y0
+
+
 def background_yield(detector: DetectorSpec, params: ProtocolParams,
                      noise_rate_cps: float,
                      per_pulse_divisor_hz: float | None = None) -> float:
@@ -422,13 +481,10 @@ def background_yield(detector: DetectorSpec, params: ProtocolParams,
     """
     if noise_rate_cps < 0.0:
         raise DomainError(f"noise rate must be >= 0, got {noise_rate_cps}")
-    gates_per_pulse = detector.gate_hz / params.clock_hz
-    dark = detector.num_detectors * detector.dark_count_per_gate * gates_per_pulse
     divisor = params.clock_hz if per_pulse_divisor_hz is None else per_pulse_divisor_hz
     if divisor <= 0.0:
         raise DomainError(f"divisor must be > 0 Hz, got {divisor}")
-    noise = min(1.0, noise_rate_cps / divisor)
-    return min(1.0, dark + noise)
+    return _y0_step(_dark_yield(detector, params.clock_hz), divisor)(noise_rate_cps)
 
 
 def dbm_to_mw(dbm: float) -> float:

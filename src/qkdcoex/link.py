@@ -251,19 +251,15 @@ def _path(plan: LinkPlan, channel: Band) -> tuple[float, tuple[float, ...]]:
             tuple(comp.loss_for(mode) for comp in components))
 
 
-def _path_loss_db(alpha_db_per_km: float, insertion_losses_db: tuple[float, ...],
-                  length_km: float) -> float:
-    """alpha*L, then each insertion loss added in order (never pre-summed)."""
-    loss = alpha_db_per_km * length_km
+def total_loss_db(plan: LinkPlan, channel: Band) -> float:
+    """End-to-end loss of one channel: fiber attenuation times length plus
+    the insertion losses along that channel's path, alpha*L first and then
+    each insertion loss added in path order (never pre-summed)."""
+    alpha_db_per_km, insertion_losses_db = _path(plan, channel)
+    loss = alpha_db_per_km * plan.length_km
     for il in insertion_losses_db:
         loss += il
     return loss
-
-
-def total_loss_db(plan: LinkPlan, channel: Band) -> float:
-    """End-to-end loss of one channel: fiber attenuation times length plus
-    the insertion losses along that channel's path."""
-    return _path_loss_db(*_path(plan, channel), plan.length_km)
 
 
 def transmittance(loss_db: float) -> float:

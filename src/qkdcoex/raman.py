@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .decoy import _y0_step
 from .errors import (ConfigError, DegenerateFitError, DomainError,
                      _require_finite)
 from .link import SchemeName
@@ -100,7 +101,9 @@ def noise_prob_per_pulse(rate_cps: float, clock_hz: float) -> float:
         raise DomainError(f"clock must be > 0 Hz, got {clock_hz}")
     if rate_cps < 0.0:
         raise DomainError(f"rate must be >= 0 cps, got {rate_cps}")
-    return min(1.0, rate_cps / clock_hz)
+    # The Y0 step with no dark counts: -0.0 is the additive identity, so
+    # this is min(1, rate_cps / clock_hz) to the bit, signed zero included.
+    return _y0_step(-0.0, clock_hz)(rate_cps)
 
 
 def peak_noise_distance_km(alpha_db_per_km: float) -> float:

@@ -19,12 +19,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
-                    DetectorSpec, DistanceResult, ProtocolParams, _decoy_chain,
-                    _kernel, _rate_per_pulse, background_yield, dbm_to_mw,
-                    find_rate_cliff)
+                    DetectorSpec, DistanceResult, ProtocolParams, _dark_yield,
+                    _decoy_chain, _kernel, _rate_per_pulse, _y0_step,
+                    dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
-                     _require_finite)
-from .link import Band, LinkPlan, _path, _path_loss_db, transmittance
+                     DomainError, _require_finite)
+from .link import Band, LinkPlan, _path
 from .raman import RamanCoefficient, _srs_rate
 
 RESULT_FIELDS = (
@@ -141,8 +141,11 @@ class ChannelState:
 
 def _resolve(scenario: Scenario):
     """Validate once; return `(channel, key)`: `channel(d)` gives the
-    `ChannelState` fields after `distance_km` by float arithmetic only, in
-    the operation order of the per-step functions, and `key` the kernel."""
+    `ChannelState` fields after `distance_km` by float arithmetic only, and
+    `key` the kernel. The link, Raman and Y0 constants are bound here; each
+    step keeps the operations, and their order, of the public function
+    that states it (`total_loss_db`, `srs_noise_rate_cps`,
+    `background_yield`, `transmittance`), so every value has their bits."""
     alpha_q, il_q = _path(scenario.link, Band.QUANTUM)
     alpha_c, il_c = _path(scenario.link, Band.CLASSICAL)
     alpha_r = alpha_q if scenario.raman_alpha_basis is Band.QUANTUM else alpha_c
@@ -151,20 +154,28 @@ def _resolve(scenario: Scenario):
     sensitivity = scenario.receiver_sensitivity_dbm
     adaptive = scenario.adaptive_power
     detector, protocol = scenario.detector, scenario.protocol
-    divisor = detector.gate_hz if scenario.noise_divisor == "gate" else None
+    divisor = (detector.gate_hz if scenario.noise_divisor == "gate"
+               else protocol.clock_hz)
+    y0_of = _y0_step(_dark_yield(detector, protocol.clock_hz), divisor)
     efficiency = detector.efficiency
 
     def channel(d: float) -> tuple:
         if d < 0.0:
             raise ConfigError(f"link length must be >= 0 km, got {d}")
-        quantum_loss = _path_loss_db(alpha_q, il_q, d)
-        classical_loss = _path_loss_db(alpha_c, il_c, d)
+        # alpha*d, then each insertion loss in path order
+        quantum_loss = alpha_q * d
+        for il in il_q:
+            quantum_loss += il
+        classical_loss = alpha_c * d
+        for il in il_c:
+            classical_loss += il
         needed = classical_loss + sensitivity
         launch = min(needed, cap) if adaptive else cap
         srs = _srs_rate(dbm_to_mw(launch), rho, d, alpha_r)
-        y0 = background_yield(detector, protocol, srs, divisor)
+        # quantum_loss >= 0 for d >= 0, so `transmittance` cannot refuse it
         return (quantum_loss, classical_loss, needed, launch, srs,
-                min(y0, _Y0_MAX), transmittance(quantum_loss) * efficiency,
+                min(y0_of(srs), _Y0_MAX),
+                10.0 ** (-quantum_loss / 10.0) * efficiency,
                 launch + _FEASIBILITY_TOL_DB >= needed)
 
     return channel, _kernel(scenario.intensities, protocol)
@@ -350,6 +361,20 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
     require_classical_feasible=False for the rate-only cliff. A negative
     `from_km` is rejected before the search: the top-down coarse scan would
     not reach it when a higher distance has a positive rate.
+
+    With the classical budget on, the coarse scan starts below the first
+    grid point where the classical link cannot close, found by bisection
+    (`find_rate_cliff`'s `feasible_fn`); the rate above it is 0 by
+    definition. Feasibility holds on a prefix of the ascending grid: every
+    attenuation lies in (0, 1) dB/km and every insertion loss is >= 0, so
+    with round-to-nearest arithmetic the classical loss, and the power it
+    needs, never decrease with d, while the launch power in use is the fixed
+    cap or min(needed, cap), so `launch + tol >= needed` can only turn false
+    once. The skipped points are ones the full scan evaluates without
+    effect, provided their channel cannot raise: their launch power is the
+    cap, so the clip is taken only when the cap's milliwatts times the
+    Raman coefficient times `to_km` (doubled, for the rounding of 10**x)
+    is finite. Otherwise the full scan runs, and raises as it did.
     """
     if from_km < 0.0:
         raise ConfigError(f"link length must be >= 0 km, got {from_km}")
@@ -361,7 +386,25 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
             return 0.0
         return key(eta, y0)[7]
 
-    return find_rate_cliff(rate, from_km, to_km, coarse_step_km, resolution_km)
+    feasible = None
+    if require_classical_feasible and _channel_cannot_raise(scenario, to_km):
+        def feasible(d: float) -> bool:
+            return channel(d)[7]
+
+    return find_rate_cliff(rate, from_km, to_km, coarse_step_km, resolution_km,
+                           feasible)
+
+
+def _channel_cannot_raise(scenario: Scenario, to_km: float) -> bool:
+    """True when `channel(d)` raises for no d in [0, to_km]: the launch
+    power never exceeds the cap, so no power's milliwatts overflow, and
+    the SRS rate is at most power * rho * L, which stays finite."""
+    try:
+        power_mw = dbm_to_mw(scenario.classical_launch_power_dbm)
+    except DomainError:
+        return False
+    return math.isfinite(
+        2.0 * power_mw * scenario.raman.rho_cps_per_mw_km * to_km)
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +496,17 @@ def _golden_min(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
 
 def _calibration_points(scenarios: Sequence[Scenario],
                         targets: Sequence[CalibrationTarget]) -> list[tuple]:
-    """Per target, resolved once: its bound kernel; the `_decoy_chain`
-    arguments but e_d; its rate constants q_sift, clock_hz and p_mu; the log
-    of its target rate; and its target QBER."""
+    """Per target, resolved once: its bound kernel; its bound decoy chain
+    and the channel point (eta, y0) it is evaluated at; its rate constants
+    q_sift, clock_hz and p_mu; the log of its target rate; and its target
+    QBER."""
     points = []
     for scen, tgt in zip(scenarios, targets):
         channel, key = _resolve(scen)
         _, _, _, _, _, y0, eta, _ = channel(tgt.distance_km)
         intensities, protocol = scen.intensities, scen.protocol
-        points.append((key, (eta, y0, intensities.mu, intensities.nu),
-                       protocol.sifting_factor, protocol.clock_hz,
+        points.append((key, _decoy_chain(intensities.mu, intensities.nu),
+                       (eta, y0), protocol.sifting_factor, protocol.clock_hz,
                        intensities.p_mu, math.log(tgt.key_rate_bps), tgt.qber))
     return points
 
@@ -483,12 +527,12 @@ def _objective_row(points: list[tuple], ed: float):
     def objectives(fs: Sequence[float]) -> list[float]:
         totals = [0.0] * len(fs)
         live = range(len(fs))
-        for k, (_, chain, q_sift, clock_hz, p_mu, log_rate,
+        for k, (_, chain, (eta, y0), q_sift, clock_hz, p_mu, log_rate,
                 qber) in enumerate(points):
             if not live:
                 break
             if k == len(reached):
-                _, emu, _, _, _, _, _, terms = _decoy_chain(*chain, ed)
+                _, emu, _, _, _, _, _, terms = chain(eta, y0, ed)
                 reached.append((terms, ((emu - qber) / 0.005) ** 2))
             terms, qber_term = reached[k]
             if terms is None:   # vanished yield bound: zero rate at every f
@@ -562,7 +606,7 @@ def calibrate(scenarios: Sequence[Scenario],
         refined = best[0]
 
     residuals = []
-    for scen, tgt, (key, (eta, y0, *_), *_) in zip(scenarios, targets, points):
+    for scen, tgt, (key, _, (eta, y0), *_) in zip(scenarios, targets, points):
         _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
         residuals.append(TargetResidual(
             scenario=scen.name,

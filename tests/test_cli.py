@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -277,3 +278,41 @@ def test_sweep_astronomical_distance_finite(capsys):
     assert fields["srs_rate_cps"] == "0.e+00"
     assert all(math.isfinite(float(v)) for k, v in fields.items()
                if k != "classical_feasible")
+
+
+def _out_argv(verb, tmp_path):
+    """A successful run of `verb` before its --out flag."""
+    return {
+        "sweep": ["sweep", "--preset", "smf", "--to-km", "2"],
+        "max-distance": ["max-distance", "--preset", "smf"],
+        "calibrate": ["calibrate"],
+        "fit-raman": ["fit-raman", "--measurements",
+                      str(_measurements_csv(tmp_path)),
+                      "--alpha-db-per-km", "0.2"],
+    }[verb]
+
+
+_OUT_VERBS = ("sweep", "max-distance", "calibrate", "fit-raman")
+
+
+@pytest.mark.parametrize("verb", _OUT_VERBS)
+def test_out_path_that_cannot_be_opened_exit_1(verb, tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "x.txt"
+    assert main(_out_argv(verb, tmp_path) + ["--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"qkdcoex: cannot write results to {path}: [Errno 2]")
+    assert captured.err.count("\n") == 1
+    assert not path.parent.exists()
+
+
+# /dev/full opens, and every write to it fails with ENOSPC.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("verb", _OUT_VERBS)
+def test_out_write_error_after_open_exit_2(verb, tmp_path, capsys):
+    assert main(_out_argv(verb, tmp_path) + ["--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qkdcoex: computation failed: cannot write "
+                                   "results to /dev/full: [Errno 28]")

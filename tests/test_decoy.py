@@ -3,12 +3,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import oracles
 from qkdcoex import get_preset, scenario
 from qkdcoex.decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
-                           DistanceResult, ProtocolParams, background_yield,
+                           DistanceResult, ProtocolParams, _e1_upper, _kernel,
+                           _y1_lower, background_yield,
                            binary_entropy, dbm_to_mw, e1_upper_bound,
                            find_rate_cliff, gain_and_qber, key_rate_details,
                            max_secure_distance_km, secure_key_rate_bps,
@@ -467,3 +468,63 @@ class TestPowerConversion:
     def test_overflowing_power_rejected(self, dbm):
         with pytest.raises(DomainError, match=re.escape(f"power {dbm} dBm")):
             dbm_to_mw(dbm)
+
+
+def _bits(*values):
+    """Each value as its exact bits: float.hex tells -0.0 from 0.0."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+# Probabilities over [0, 1] with weight on 0.0, the subnormals and 1.0.
+_PROB = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300),
+                  st.sampled_from((0.0, 5e-324, 1.0)))
+
+
+class TestBoundKernel:
+    """`decoy._kernel` binds the intensity constants once and writes the
+    gains, the bounds and the entropies out in one chain; every field must
+    carry the bits of the public helpers that state each step."""
+
+    @given(eta=_PROB, y0=_PROB.filter(lambda y: y < 1.0),
+           mu=st.floats(1e-3, 30.0), nu_share=st.floats(1e-3, 0.999),
+           ed=st.floats(0.0, 0.4999), f=st.floats(1.0, 2.0))
+    # a raw Y1 bound of exactly 0.0: unclamped, then one clamp event
+    @example(eta=0.0, y0=0.0, mu=0.4, nu_share=0.5, ed=0.033, f=1.16)
+    def test_matches_public_helpers(self, eta, y0, mu, nu_share, ed, f):
+        try:
+            intensities = DecoyIntensities(mu=mu, nu=mu * nu_share)
+        except ConfigError:
+            assume(False)
+        nu = intensities.nu
+        prm = params(ed, f)
+        qmu, emu, qnu, enu, y1, e1, r, rate, clamps = _kernel(
+            intensities, prm)(eta, y0)
+        ch = ChannelPoint(eta, y0)
+        assert _bits(qmu, emu) == _bits(*gain_and_qber(mu, ch, prm))
+        assert _bits(qnu, enu) == _bits(*gain_and_qber(nu, ch, prm))
+        assert _bits(y1) == _bits(y1_lower_bound(qmu, qnu, intensities, y0))
+        _, expected_clamps = _y1_lower(qmu, qnu, mu, nu, y0)
+        if y1 <= 0.0:
+            expected_r, expected_e1 = 0.0, 0.5
+            expected_clamps += 1
+        else:
+            expected_e1 = e1_upper_bound(qnu, enu, nu, y1, y0)
+            expected_clamps += _e1_upper(enu, qnu, nu, y1, y0, 0.5)[1]
+            single = y1 * mu * math.exp(-mu) * (1.0 - binary_entropy(e1))
+            expected_r = prm.sifting_factor * (
+                -qmu * f * binary_entropy(emu) + single)
+            if expected_r < 0.0:
+                expected_r = 0.0
+        assert _bits(e1, r, clamps) == _bits(expected_e1, expected_r,
+                                             expected_clamps)
+        assert _bits(rate) == _bits(r * prm.clock_hz * intensities.p_mu)
+
+    def test_raw_zero_yield_bound_is_unclamped(self):
+        # A dark, noiseless channel: both gains are 0 and the raw Y1 bound
+        # is exactly 0.0. It is returned as it is, not through the `< 0`
+        # clamp, and the vanished bound then counts one clamp event.
+        qmu, _, qnu, _, y1, e1, r, _, clamps = _kernel(INT, PARAMS)(0.0, 0.0)
+        assert _bits(qmu, qnu, y1) == _bits(0.0, 0.0, 0.0)
+        assert (e1, r, clamps) == (0.5, 0.0, 1)
+        # a raw bound of -0.0 keeps its sign
+        assert _bits(y1_lower_bound(0.0, -0.0, INT, 0.0)) == _bits(-0.0)

@@ -76,6 +76,11 @@ class TestNoiseProbability:
     def test_zero_rate(self):
         assert noise_prob_per_pulse(0.0, 625e6) == 0.0
 
+    def test_signed_zero_rate_kept(self):
+        # min(1, rate / clock) keeps the sign of a zero rate
+        assert noise_prob_per_pulse(-0.0, 625e6).hex() == "-0x0.0p+0"
+        assert noise_prob_per_pulse(0.0, 625e6).hex() == "0x0.0p+0"
+
     def test_saturation(self):
         assert noise_prob_per_pulse(6.25e8, 6.25e8) == 1.0
         assert noise_prob_per_pulse(7e8, 6.25e8) == 1.0

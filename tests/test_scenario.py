@@ -1,17 +1,25 @@
 import json
 import math
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdcoex import config
+from qkdcoex import scenario as scenario_mod
 from qkdcoex.config import load_scenario, load_sweep
-from qkdcoex.decoy import DecoyIntensities, dbm_to_mw
-from qkdcoex.errors import CalibrationError, ConfigError, DomainError
-from qkdcoex.link import Band, Mode, SchemeName
+from qkdcoex.decoy import (DecoyIntensities, DistanceResult, background_yield,
+                           dbm_to_mw)
+from qkdcoex.errors import (CalibrationError, ConfigError, DomainError,
+                            NoSecureDistanceError, QkdCoexError)
+from qkdcoex.link import (Band, FiberSpec, Mode, SchemeName, _path,
+                          total_loss_db, transmittance)
 from qkdcoex.presets import REFERENCE_TARGETS, get_preset, preset_names
+from qkdcoex.raman import srs_noise_rate_cps
 from qkdcoex.scenario import (ED_BOUNDS, ED_STEP, F_BOUNDS, F_STEP,
                               CalibrationTarget, SweepSpec, _calibration_points,
                               _objective_row, _resolve, apply_calibration,
@@ -19,6 +27,9 @@ from qkdcoex.scenario import (ED_BOUNDS, ED_STEP, F_BOUNDS, F_STEP,
                               evaluate_at, launch_power_dbm,
                               max_secure_distance, rows_to_csv, rows_to_json,
                               run_sweep)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "qkdbench"))
+import inputs  # noqa: E402
 
 EXPECTED_HEADER = ("distance_km,launch_power_dbm,quantum_loss_db,"
                    "classical_loss_db,srs_rate_cps,y0,q_mu,e_mu,y1_lower,"
@@ -485,3 +496,175 @@ def load_scenario_with(tmp_path, text):
     path = tmp_path / "base.ini"
     path.write_text(text, encoding="utf-8")
     return load_scenario(path)
+
+
+# ---------------------------------------------------------------------------
+# the bound channel and the clipped cliff search
+
+def _load_ini(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.ini"
+        path.write_text(text, encoding="utf-8")
+        return load_scenario(path)
+
+
+# The presets, and physical INI scenarios with the parameter ranges of the
+# benchmark's generated files, fixed and adaptive power alike.
+_SCENARIOS = st.one_of(
+    st.sampled_from(preset_names()).map(get_preset),
+    st.builds(inputs._ini_scenario, st.randoms(use_true_random=False),
+              st.sampled_from(("smf", "lp01in", "lp02in")), st.booleans(),
+              st.sampled_from(("quantum", "classical")),
+              st.sampled_from(("clock", "gate")),
+              extra_il=st.booleans()).map(lambda ini: _load_ini(ini[0])))
+
+
+def _bits(*values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@settings(deadline=None)
+@given(scenario=_SCENARIOS,
+       d=st.one_of(st.floats(0.0, 400.0), st.sampled_from((0.0, 1e300))))
+def test_channel_matches_public_helpers(scenario, d):
+    """`channel(d)` binds its constants once; every field carries the bits
+    of the public functions that state each step."""
+    channel, _ = _resolve(scenario)
+    q_loss, c_loss, needed, launch, srs, y0, eta, feasible = channel(d)
+    link = replace(scenario.link, length_km=d)
+    assert _bits(q_loss, c_loss) == _bits(total_loss_db(link, Band.QUANTUM),
+                                          total_loss_db(link, Band.CLASSICAL))
+    cap = scenario.classical_launch_power_dbm
+    assert _bits(needed) == _bits(c_loss + scenario.receiver_sensitivity_dbm)
+    assert _bits(launch) == _bits(min(needed, cap) if scenario.adaptive_power
+                                  else cap)
+    alpha_r, _ = _path(scenario.link, scenario.raman_alpha_basis)
+    assert _bits(srs) == _bits(srs_noise_rate_cps(
+        dbm_to_mw(launch), scenario.raman, d, alpha_r))
+    detector = scenario.detector
+    divisor = detector.gate_hz if scenario.noise_divisor == "gate" else None
+    assert _bits(y0) == _bits(min(
+        background_yield(detector, scenario.protocol, srs, divisor),
+        math.nextafter(1.0, 0.0)))
+    assert _bits(eta) == _bits(transmittance(q_loss) * detector.efficiency)
+    assert feasible is (launch + 1e-9 >= needed)
+
+
+def _unclipped_search(scenario, from_km, to_km, coarse_step_km,
+                      require_classical_feasible, resolution_km=0.01):
+    """`max_secure_distance` without the clip: every coarse grid point is
+    evaluated from the top down, those above the classical cliff included,
+    until the first positive rate; the bisection then refines above it."""
+    channel, key = _resolve(scenario)
+
+    def rate(d):
+        _, _, _, _, _, y0, eta, feasible = channel(d)
+        if require_classical_feasible and not feasible:
+            return 0.0
+        return key(eta, y0)[7]
+
+    grid = [from_km]
+    while grid[-1] < to_km:
+        grid.append(min(grid[-1] + coarse_step_km, to_km))
+    last = next((i for i in reversed(range(len(grid)))
+                 if rate(grid[i]) > 0.0), None)
+    if last is None:
+        raise NoSecureDistanceError("no positive rate")
+    if last == len(grid) - 1:
+        return DistanceResult(grid[last], at_upper_boundary=True)
+    lo, hi = grid[last], grid[last + 1]
+    while hi - lo > resolution_km:
+        mid = 0.5 * (lo + hi)
+        if rate(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return DistanceResult(lo, at_upper_boundary=False)
+
+
+def _search_outcome(search, *args):
+    try:
+        return search(*args)
+    except QkdCoexError as exc:
+        return type(exc)
+
+
+def _classical_cliff_km(scenario):
+    """Where the classical link stops closing at the cap power."""
+    alpha_c, il_c = _path(scenario.link, Band.CLASSICAL)
+    budget = (scenario.classical_launch_power_dbm
+              - scenario.receiver_sensitivity_dbm - sum(il_c))
+    return max(0.0, budget / alpha_c)
+
+
+class TestClippedSearch:
+    @settings(deadline=None)
+    @given(scenario=_SCENARIOS, data=st.data())
+    def test_matches_unclipped_search(self, scenario, data):
+        cliff = _classical_cliff_km(scenario)
+        where = data.draw(st.sampled_from(("below", "inside", "above")))
+        if where == "below":      # the cliff lies below from_km
+            from_km = cliff + data.draw(st.floats(0.5, 150.0))
+            to_km = from_km + data.draw(st.floats(0.0, 300.0))
+        elif where == "inside":
+            from_km = data.draw(st.floats(0.0, max(0.0, cliff - 0.5)))
+            to_km = cliff + data.draw(st.floats(0.5, 300.0))
+        else:                     # the cliff lies above to_km
+            to_km = data.draw(st.floats(0.0, max(0.0, cliff - 0.5)))
+            from_km = data.draw(st.floats(0.0, to_km))
+        step = data.draw(st.floats(0.5, 40.0))
+        budget = data.draw(st.booleans())
+        clipped = _search_outcome(
+            lambda: max_secure_distance(scenario, from_km, to_km,
+                                        require_classical_feasible=budget,
+                                        coarse_step_km=step))
+        assert clipped == _search_outcome(
+            _unclipped_search, scenario, from_km, to_km, step, budget)
+
+    # Channels that raise above the classical cliff, where the rate is 0:
+    # the search must raise as the full scan does, not skip the points.
+    @pytest.mark.parametrize("scenario, from_km, to_km, step", [
+        # the cap's milliwatts overflow; adaptive and fixed power
+        (replace(get_preset("fig4-power"), classical_launch_power_dbm=4000.0),
+         20000.0, 20300.0, 1.0),
+        (replace(get_preset("lp02in"), classical_launch_power_dbm=4000.0),
+         20000.0, 20300.0, 1.0),
+        # the SRS rate, 1e10 * L cps, overflows at the top grid point only
+        (replace(get_preset("smf"),
+                 link=replace(get_preset("smf").link,
+                              fiber=FiberSpec.smf(1e-310, 0.2)),
+                 raman=replace(get_preset("smf").raman,
+                               rho_cps_per_mw_km=1e10),
+                 classical_launch_power_dbm=0.0),
+         1e298, 1.8e298, 1e296),
+    ])
+    def test_raising_channel_above_cliff_still_raises(self, scenario, from_km,
+                                                      to_km, step):
+        assert _classical_cliff_km(scenario) < from_km
+        with pytest.raises(DomainError):
+            max_secure_distance(scenario, from_km, to_km, coarse_step_km=step)
+        with pytest.raises(DomainError):
+            _unclipped_search(scenario, from_km, to_km, step, True)
+
+    def test_budget_search_skips_points_above_the_cliff(self, monkeypatch):
+        channel_at, key_at = [], []
+        resolve = scenario_mod._resolve
+
+        def counted(scenario):
+            channel, key = resolve(scenario)
+
+            def counted_channel(d):
+                channel_at.append(d)
+                return channel(d)
+
+            def counted_key(*args):
+                key_at.append(channel_at[-1])
+                return key(*args)
+            return counted_channel, counted_key
+
+        monkeypatch.setattr(scenario_mod, "_resolve", counted)
+        result = max_secure_distance(get_preset("lp02in"), 0.0, 300.0)
+        assert f"{result.distance_km:.2f}" == "91.44"
+        assert key_at and max(key_at) <= 91.44
+        # 217 without the clip: every coarse point from 300 km down
+        assert len(channel_at) < 30
