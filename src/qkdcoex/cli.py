@@ -14,10 +14,10 @@ from dataclasses import replace
 
 from . import presets as presets_mod
 from .config import _load_scenario_file
-from .errors import ComputationError, ConfigError, QkdCoexError
+from .errors import ComputationError, QkdCoexError
 from .raman import fit_raman_coefficient, read_measurements_csv
-from .scenario import (Scenario, SweepSpec, _chunks, _sweep_table, calibrate,
-                       max_secure_distance)
+from .scenario import (Scenario, SweepSpec, _chunks, _sweep_table, _write,
+                       calibrate, max_secure_distance)
 
 _DEFAULT_SWEEP = SweepSpec(0.0, 100.0, 1.0)
 
@@ -46,21 +46,11 @@ def _resolve_scenario(args) -> tuple[Scenario, SweepSpec | None]:
 
 
 def _emit(chunks, out: str | None):
-    """Write the text pieces to the `--out` file, or to stdout without one.
-    A path that cannot be opened is a usage problem (exit 1); an error
-    while writing to the open file is a failure (exit 2)."""
-    if not out:
+    """Write the text pieces to the `--out` file, or to stdout without one."""
+    if out:
+        _write(chunks, out)
+    else:
         sys.stdout.writelines(chunks)
-        return
-    try:
-        fh = open(out, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write results to {out}: {exc}") from exc
-    try:
-        with fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise ComputationError(f"cannot write results to {out}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,12 +10,13 @@ typos fail loudly.
 from __future__ import annotations
 
 import configparser
+from dataclasses import replace
 from pathlib import Path
 
 from .decoy import DecoyIntensities, DetectorSpec, ProtocolParams
 from .errors import ConfigError, _require_finite
-from .link import (Band, ComponentSpec, FiberKind, FiberSpec, LinkPlan, Mode,
-                   MultiplexScheme, Side)
+from .link import Band, ComponentSpec, FiberKind, LinkPlan, MultiplexScheme, Side
+from .presets import _fmf_link, _smf_link
 from .raman import RamanCoefficient
 from .scenario import Scenario, SweepSpec
 
@@ -128,44 +129,35 @@ def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
         ) from None
 
     if kind is FiberKind.SMF:
-        spec = FiberSpec.smf(
-            fiber.get_float("attenuation_quantum_db_per_km", required=True),
-            fiber.get_float("attenuation_classical_db_per_km", required=True),
-        )
-        mux = ComponentSpec(
-            "mux", {Mode.FUNDAMENTAL: components.get_float("mux_il_db", required=True)},
-            Side.TRANSMITTER)
-        demux = ComponentSpec(
-            "demux", {Mode.FUNDAMENTAL: components.get_float("demux_il_db", required=True)},
-            Side.RECEIVER)
+        link = _smf_link(
+            attenuation=(
+                fiber.get_float("attenuation_quantum_db_per_km", required=True),
+                fiber.get_float("attenuation_classical_db_per_km", required=True)),
+            dwdm_il=(components.get_float("mux_il_db", required=True),
+                     components.get_float("demux_il_db", required=True)))
     else:
-        spec = FiberSpec.fmf(
-            fiber.get_float("attenuation_lp01_db_per_km", required=True),
-            fiber.get_float("attenuation_lp02_db_per_km", required=True),
-        )
-        mux = ComponentSpec("mux", {
-            Mode.LP01: components.get_float("mux_il_lp01_db", required=True),
-            Mode.LP02: components.get_float("mux_il_lp02_db", required=True),
-        }, Side.TRANSMITTER)
-        demux = ComponentSpec("demux", {
-            Mode.LP01: components.get_float("demux_il_lp01_db", required=True),
-            Mode.LP02: components.get_float("demux_il_lp02_db", required=True),
-        }, Side.RECEIVER)
+        link = _fmf_link(
+            scheme.name,
+            attenuation=(
+                fiber.get_float("attenuation_lp01_db_per_km", required=True),
+                fiber.get_float("attenuation_lp02_db_per_km", required=True)),
+            coupler_il=tuple(components.get_float(key, required=True) for key in (
+                "mux_il_lp01_db", "mux_il_lp02_db",
+                "demux_il_lp01_db", "demux_il_lp02_db")))
 
-    quantum_path: list[ComponentSpec] = [mux, demux]
-    classical_path: list[ComponentSpec] = [mux, demux]
+    quantum_path = link.quantum_path_components
+    classical_path = link.classical_path_components
     q_extra = components.get_float("quantum_extra_il_db")
     if q_extra:
-        quantum_path.append(ComponentSpec(
-            "quantum-extra", {scheme.quantum_mode: q_extra}, Side.TRANSMITTER))
+        quantum_path += (ComponentSpec(
+            "quantum-extra", {scheme.quantum_mode: q_extra}, Side.TRANSMITTER),)
     c_extra = components.get_float("classical_extra_il_db")
     if c_extra:
-        classical_path.append(ComponentSpec(
-            "classical-extra", {scheme.classical_mode: c_extra}, Side.TRANSMITTER))
-
-    return LinkPlan(fiber=spec, length_km=0.0, scheme=scheme,
-                    quantum_path_components=tuple(quantum_path),
-                    classical_path_components=tuple(classical_path))
+        classical_path += (ComponentSpec(
+            "classical-extra", {scheme.classical_mode: c_extra}, Side.TRANSMITTER),)
+    # An smf fiber with an lp01in or lp02in scheme fails here.
+    return replace(link, scheme=scheme, quantum_path_components=quantum_path,
+                   classical_path_components=classical_path)
 
 
 def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:

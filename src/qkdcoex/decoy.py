@@ -479,10 +479,10 @@ def background_yield(detector: DetectorSpec, params: ProtocolParams,
     rate must already be a detected rate; no efficiency scaling is applied
     here.
     """
-    if noise_rate_cps < 0.0:
+    if not noise_rate_cps >= 0.0:
         raise DomainError(f"noise rate must be >= 0, got {noise_rate_cps}")
     divisor = params.clock_hz if per_pulse_divisor_hz is None else per_pulse_divisor_hz
-    if divisor <= 0.0:
+    if not divisor > 0.0:
         raise DomainError(f"divisor must be > 0 Hz, got {divisor}")
     return _y0_step(_dark_yield(detector, params.clock_hz), divisor)(noise_rate_cps)
 

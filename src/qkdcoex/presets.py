@@ -49,11 +49,14 @@ IMPROVED_DETECTOR_EFFICIENCY = 0.20
 IMPROVED_DARK_RATE_CPS = 230.0
 
 
-def _smf_link(length_km: float = 0.0) -> LinkPlan:
-    mux = ComponentSpec("dwdm-mux", {Mode.FUNDAMENTAL: 0.49}, Side.TRANSMITTER)
-    demux = ComponentSpec("dwdm-demux", {Mode.FUNDAMENTAL: 0.36}, Side.RECEIVER)
+def _smf_link(length_km: float = 0.0,
+              attenuation: tuple[float, float] = (0.190, 0.192),
+              dwdm_il: tuple[float, float] = (0.49, 0.36)) -> LinkPlan:
+    mux_il, demux_il = dwdm_il
+    mux = ComponentSpec("dwdm-mux", {Mode.FUNDAMENTAL: mux_il}, Side.TRANSMITTER)
+    demux = ComponentSpec("dwdm-demux", {Mode.FUNDAMENTAL: demux_il}, Side.RECEIVER)
     return LinkPlan(
-        fiber=FiberSpec.smf(0.190, 0.192),
+        fiber=FiberSpec.smf(*attenuation),
         length_km=length_km,
         scheme=MultiplexScheme.named(SchemeName.SMF),
         quantum_path_components=(mux, demux),

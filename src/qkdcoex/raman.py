@@ -97,9 +97,9 @@ def srs_noise_rate_cps(power_mw: float, rho: RamanCoefficient,
 
 def noise_prob_per_pulse(rate_cps: float, clock_hz: float) -> float:
     """Probability of a noise count per pulse slot, clamped to [0, 1]."""
-    if clock_hz <= 0.0:
+    if not clock_hz > 0.0:
         raise DomainError(f"clock must be > 0 Hz, got {clock_hz}")
-    if rate_cps < 0.0:
+    if not rate_cps >= 0.0:
         raise DomainError(f"rate must be >= 0 cps, got {rate_cps}")
     # The Y0 step with no dark counts: -0.0 is the additive identity, so
     # this is min(1, rate_cps / clock_hz) to the bit, signed zero included.

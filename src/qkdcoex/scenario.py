@@ -10,6 +10,7 @@ deterministic: identical inputs produce byte-identical output files.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import math
@@ -23,7 +24,7 @@ from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     _decoy_chain, _kernel, _rate_per_pulse, _y0_step,
                     dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
-                     DomainError, _require_finite)
+                     DomainError, QkdCoexError, _require_finite)
 from .link import Band, LinkPlan, _path
 from .raman import RamanCoefficient, _srs_rate
 
@@ -160,7 +161,7 @@ def _resolve(scenario: Scenario):
     efficiency = detector.efficiency
 
     def channel(d: float) -> tuple:
-        if d < 0.0:
+        if not d >= 0.0:
             raise ConfigError(f"link length must be >= 0 km, got {d}")
         # alpha*d, then each insertion loss in path order
         quantum_loss = alpha_q * d
@@ -206,7 +207,9 @@ def evaluate_at(scenario: Scenario, distance_km: float) -> ResultRow:
 
 
 def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[tuple]:
-    """One `_point` tuple per grid point, in ascending distance."""
+    """One `_point` tuple per grid point, in ascending distance. The
+    package's own errors pass through with their exit code; any other
+    exception becomes a `ComputationError` naming the distance."""
     distances = sweep.distances()
     # A scenario that fails to resolve is reported at the first point.
     table, d = [], distances[0]
@@ -214,7 +217,7 @@ def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[tuple]:
         channel, key = _resolve(scenario)
         for d in distances:
             table.append(_point(channel, key, d))
-    except ConfigError:
+    except QkdCoexError:
         raise
     except Exception as exc:
         raise ComputationError(
@@ -238,6 +241,7 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec) -> list[ResultRow]:
 # those of `np.format_float_scientific(v, unique=True)` per CSV value and of
 # `json.dumps(payload, indent=2) + "\n"`.
 
+@functools.cache
 def _scientific():
     """numpy's Dragon4 formatter without the argument checks of its public
     wrapper `np.format_float_scientific` (the fallback): the same strings.
@@ -249,24 +253,6 @@ def _scientific():
         except (ImportError, AttributeError):
             pass
     return np.format_float_scientific
-
-
-def _formatter():
-    """The CSV float formatter, resolved at first use and cached in the
-    module global `_SCIENTIFIC`."""
-    global _SCIENTIFIC
-    try:
-        return _SCIENTIFIC
-    except NameError:
-        _SCIENTIFIC = _scientific()
-        return _SCIENTIFIC
-
-
-def __getattr__(name):
-    # PEP 562: `scenario._SCIENTIFIC` read before the first CSV resolves it.
-    if name == "_SCIENTIFIC":
-        return _formatter()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _CHUNK_ROWS = 4096
@@ -282,7 +268,7 @@ _BOOL = {True: "true", False: "false"}
 
 
 def _csv_chunks(table: list[tuple]):
-    scientific = _formatter()
+    scientific = _scientific()
     yield _CSV_HEADER
     for start in range(0, len(table), _CHUNK_ROWS):
         *numbers, feasible = zip(*table[start:start + _CHUNK_ROWS])
@@ -318,10 +304,16 @@ def _chunks(table: list[tuple], format: str):
     raise ConfigError(f"unknown output format {format!r}")
 
 
-def _write_table(table: list[tuple], format: str, path: str | Path) -> None:
-    chunks = _chunks(table, format)   # an unknown format creates no file
+def _write(chunks, path: str | Path) -> None:
+    """Write the text pieces to `path`. A path that cannot be opened is a
+    usage problem (`ConfigError`); an error while writing to the open file
+    is a failure (`ComputationError`)."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write results to {path}: {exc}") from exc
+    try:
+        with fh:
             fh.writelines(chunks)
     except OSError as exc:
         raise ComputationError(f"cannot write results to {path}: {exc}") from exc
@@ -341,8 +333,10 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
 
 def emit_results(rows: Sequence[ResultRow], format: str,
                  path: str | Path) -> None:
-    """Write rows as CSV or JSON; numbers keep full round-trip precision."""
-    _write_table(_table(rows), format, path)
+    """Write rows as CSV or JSON; numbers keep full round-trip precision.
+    An unknown format or a path that cannot be opened raises `ConfigError`
+    and creates no file; a failed write raises `ComputationError`."""
+    _write(_chunks(_table(rows), format), path)
 
 
 # ---------------------------------------------------------------------------
@@ -516,36 +510,30 @@ def _objective_row(points: list[tuple], ed: float):
     `objectives(fs)`: the objective at (ed, f) for each f in fs.
 
     Only the rate's last step depends on f, so each target's f-independent
-    terms (its decoy chain and QBER term) are computed once per row, when a
-    cell first reaches that target, and each cell adds only the f tail.
-    Targets are taken in order over the cells still finite: a cell stops at
-    its first target with a zero rate, exactly as a per-cell sum does, and
-    every value carries the bits of that sum.
+    terms (its decoy chain and QBER term) are computed once, up front, which
+    is exact: `_decoy_chain` is float arithmetic on validated intensities
+    and cannot raise. Each cell adds the f tails of its targets in order and
+    stops at its first zero rate, so every value has the per-cell sum's bits.
     """
-    reached = []   # per target a cell of this row reached: (terms, QBER term)
+    row = []
+    for _, chain, (eta, y0), q_sift, clock_hz, p_mu, log_rate, qber in points:
+        _, emu, _, _, _, _, _, terms = chain(eta, y0, ed)
+        if terms is None:   # vanished yield bound: zero rate at every f
+            return lambda fs: [math.inf] * len(fs)
+        row.append((terms, q_sift, clock_hz, p_mu, log_rate,
+                    ((emu - qber) / 0.005) ** 2))
 
     def objectives(fs: Sequence[float]) -> list[float]:
-        totals = [0.0] * len(fs)
-        live = range(len(fs))
-        for k, (_, chain, (eta, y0), q_sift, clock_hz, p_mu, log_rate,
-                qber) in enumerate(points):
-            if not live:
-                break
-            if k == len(reached):
-                _, emu, _, _, _, _, _, terms = chain(eta, y0, ed)
-                reached.append((terms, ((emu - qber) / 0.005) ** 2))
-            terms, qber_term = reached[k]
-            if terms is None:   # vanished yield bound: zero rate at every f
-                return [math.inf] * len(fs)
-            still = []
-            for j in live:
-                rate = _rate_per_pulse(terms, fs[j], q_sift) * clock_hz * p_mu
+        totals = []
+        for f in fs:
+            total = 0.0
+            for terms, q_sift, clock_hz, p_mu, log_rate, qber_term in row:
+                rate = _rate_per_pulse(terms, f, q_sift) * clock_hz * p_mu
                 if rate <= 0.0:
-                    totals[j] = math.inf
-                else:
-                    totals[j] += (math.log(rate) - log_rate) ** 2 + qber_term
-                    still.append(j)
-            live = still
+                    total = math.inf
+                    break
+                total += (math.log(rate) - log_rate) ** 2 + qber_term
+            totals.append(total)
         return totals
     return objectives
 

@@ -2,16 +2,20 @@
 
 A key a file leaves out takes the default of its dataclass field: an INI
 that sets only the mandatory keys loads the dataclass defaults, and one
-optional key changes only its own field.
+optional key changes only its own field. The link comes from the preset
+link builders.
 """
 
+import re
 from dataclasses import MISSING, fields, replace
 
 import pytest
 
 from qkdcoex import config
 from qkdcoex.decoy import DecoyIntensities, DetectorSpec, ProtocolParams
+from qkdcoex.errors import ConfigError
 from qkdcoex.link import Band
+from qkdcoex.presets import get_preset
 from qkdcoex.scenario import Scenario
 
 MANDATORY = {
@@ -96,6 +100,22 @@ def test_mandatory_keys_only_give_dataclass_defaults(kind, tmp_path):
     for f in fields(Scenario):
         if f.default is not MISSING:
             assert repr(getattr(scenario, f.name)) == repr(f.default), f.name
+
+
+@pytest.mark.parametrize("kind, preset", [("smf", "smf"), ("fmf", "lp02in")])
+def test_mandatory_keys_build_the_preset_link(kind, preset, tmp_path):
+    # INI links come from the preset builders, component names included.
+    scenario, _ = _load(tmp_path, MANDATORY[kind])
+    assert repr(scenario.link) == repr(get_preset(preset).link)
+
+
+@pytest.mark.parametrize("kind, scheme, needs", [
+    ("smf", "lp01in", "FMF"), ("fmf", "smf", "SMF")])
+def test_fiber_kind_and_scheme_must_agree(kind, scheme, needs, tmp_path):
+    text = re.sub(r"scheme = \w+", f"scheme = {scheme}", MANDATORY[kind])
+    with pytest.raises(ConfigError,
+                       match=f"scheme {scheme} requires an {needs} link"):
+        _load(tmp_path, text)
 
 
 @pytest.mark.parametrize("section, key, raw, target, value", OPTIONAL,

@@ -458,6 +458,14 @@ class TestBackgroundYield:
             background_yield(DetectorSpec(), PARAMS, 1250.0,
                              per_pulse_divisor_hz=0.0)
 
+    @pytest.mark.parametrize("rate, divisor, message", [
+        (1250.0, math.nan, "divisor"), (-1.0, None, "noise rate"),
+        (math.nan, None, "noise rate")])
+    def test_nan_or_negative_rejected(self, rate, divisor, message):
+        with pytest.raises(DomainError, match=message):
+            background_yield(DetectorSpec(), PARAMS, rate,
+                             per_pulse_divisor_hz=divisor)
+
 
 class TestPowerConversion:
     def test_largest_finite_power(self):

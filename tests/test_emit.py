@@ -7,6 +7,7 @@ through `np.format_float_scientific(v, unique=True)` for CSV, and
 """
 
 import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from qkdcoex import scenario
 from qkdcoex.cli import main
-from qkdcoex.errors import ConfigError
+from qkdcoex.errors import ComputationError, ConfigError
 from qkdcoex.scenario import (RESULT_FIELDS, ResultRow, SweepSpec,
                               emit_results, rows_to_csv, rows_to_json,
                               run_sweep)
@@ -84,17 +85,17 @@ def test_integer_distance_grid_matches_oracle(preset):
 @given(value=st.one_of(st.sampled_from(CORPUS),
                        st.floats(allow_nan=True, allow_infinity=True)))
 def test_resolved_formatter_matches_public(value):
-    assert (scenario._SCIENTIFIC(value, unique=True)
+    assert (scenario._scientific()(value, unique=True)
             == np.format_float_scientific(value, unique=True))
 
 
 def test_private_formatter_resolved():
-    assert scenario._SCIENTIFIC.__name__ == "dragon4_scientific"
+    assert scenario._scientific().__name__ == "dragon4_scientific"
 
 
 def test_formatter_falls_back_to_public():
     with mock.patch("importlib.import_module", side_effect=ImportError):
-        assert scenario._scientific() is np.format_float_scientific
+        assert scenario._scientific.__wrapped__() is np.format_float_scientific
 
 
 def test_unknown_format_creates_no_file(tmp_path):
@@ -103,6 +104,22 @@ def test_unknown_format_creates_no_file(tmp_path):
     with pytest.raises(ConfigError, match="unknown output format"):
         emit_results(rows, "xml", path)
     assert not path.exists()
+
+
+def test_unopenable_path_creates_nothing(tmp_path):
+    path = tmp_path / "missing" / "rows.csv"
+    rows = run_sweep(get_preset("smf"), SweepSpec(0.0, 2.0, 1.0))
+    with pytest.raises(ConfigError, match="cannot write results"):
+        emit_results(rows, "csv", path)
+    assert list(tmp_path.iterdir()) == []
+
+
+# /dev/full opens, and every write to it fails with ENOSPC.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_error_is_a_computation_error():
+    rows = run_sweep(get_preset("smf"), SweepSpec(0.0, 2.0, 1.0))
+    with pytest.raises(ComputationError, match="cannot write results"):
+        emit_results(rows, "csv", "/dev/full")
 
 
 def test_failed_sweep_leaves_no_file(tmp_path, capsys):
@@ -114,9 +131,9 @@ def test_failed_sweep_leaves_no_file(tmp_path, capsys):
                    "[raman]\ncoefficient_cps_per_mw_km = 12076\n"
                    "[classical]\nlaunch_power_dbm = 4000\n", encoding="utf-8")
     out = tmp_path / "rows.csv"
-    assert main(["sweep", "--scenario", str(ini), "--out", str(out)]) == 2
+    assert main(["sweep", "--scenario", str(ini), "--out", str(out)]) == 1
     assert not out.exists()
-    assert "computation failed" in capsys.readouterr().err
+    assert "too large to convert" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

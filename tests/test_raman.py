@@ -94,6 +94,12 @@ class TestNoiseProbability:
         with pytest.raises(DomainError):
             noise_prob_per_pulse(1.0, 0.0)
 
+    @pytest.mark.parametrize("rate, clock", [
+        (1.0, math.nan), (-1.0, 625e6), (math.nan, 625e6)])
+    def test_nan_or_negative_rejected(self, rate, clock):
+        with pytest.raises(DomainError):
+            noise_prob_per_pulse(rate, clock)
+
 
 class TestFit:
     def test_single_point_exact_inversion(self):

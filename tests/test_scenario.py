@@ -256,6 +256,12 @@ class TestNegativeDistance:
         with pytest.raises(ConfigError, match="link length must be >= 0"):
             evaluate(get_preset(name), -1.0)
 
+    @pytest.mark.parametrize("evaluate", [
+        channel_state, evaluate_at, launch_power_dbm])
+    def test_nan_rejected(self, evaluate):
+        with pytest.raises(ConfigError, match="link length must be >= 0"):
+            evaluate(get_preset("smf"), math.nan)
+
 
 class TestMaxDistance:
     def test_fig4_full_budget_limited(self):
