@@ -367,13 +367,12 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
     it. A grid point below that one is never evaluated, so an exception
     rate_fn would raise there does not surface.
 
-    `feasible_fn`, when given, must be pure, true on a prefix of the
-    ascending coarse grid and false on the rest, and must not raise; where
-    it is false, rate_fn must return a non-positive rate without raising.
-    The scan then finds the first false grid point by bisection over the
-    grid and starts just below it. The points it skips are ones the full
-    scan would have found non-positive, so the result, or the exception,
-    is the one of the full scan.
+    `feasible_fn`, when given, must be pure and true on a prefix of the
+    ascending coarse grid and false on the rest. The scan finds the first
+    false grid point by bisection and starts just below it; grid points at
+    and above it are never passed to rate_fn, and their rate counts as 0.
+    An exception raised at a point that is evaluated propagates, from a
+    feasibility probe, the scan or the bisection alike.
 
     Returns the range upper bound with `at_upper_boundary` set when the rate
     is still positive there. Raises NoSecureDistanceError when the rate is

@@ -38,9 +38,6 @@ RAMAN_CPS_PER_MW_KM = {
     SchemeName.LP02_IN: 2655.0,
 }
 
-LAUNCH_POWER_DBM = -2.60
-RECEIVER_SENSITIVITY_DBM = -33.0
-
 # Projected upgrades: midpoints of the quoted ranges 0.16-0.17 dB/km and
 # 0.36-0.49 dB, and the improved detector bank.
 ULL_ATTENUATION_DB_PER_KM = 0.165
@@ -49,22 +46,21 @@ IMPROVED_DETECTOR_EFFICIENCY = 0.20
 IMPROVED_DARK_RATE_CPS = 230.0
 
 
-def _smf_link(length_km: float = 0.0,
-              attenuation: tuple[float, float] = (0.190, 0.192),
+def _smf_link(attenuation: tuple[float, float] = (0.190, 0.192),
               dwdm_il: tuple[float, float] = (0.49, 0.36)) -> LinkPlan:
     mux_il, demux_il = dwdm_il
     mux = ComponentSpec("dwdm-mux", {Mode.FUNDAMENTAL: mux_il}, Side.TRANSMITTER)
     demux = ComponentSpec("dwdm-demux", {Mode.FUNDAMENTAL: demux_il}, Side.RECEIVER)
     return LinkPlan(
         fiber=FiberSpec.smf(*attenuation),
-        length_km=length_km,
+        length_km=0.0,
         scheme=MultiplexScheme.named(SchemeName.SMF),
         quantum_path_components=(mux, demux),
         classical_path_components=(mux, demux),
     )
 
 
-def _fmf_link(scheme: SchemeName, length_km: float = 0.0,
+def _fmf_link(scheme: SchemeName,
               attenuation: tuple[float, float] = (0.226, 0.257),
               coupler_il: tuple[float, float, float, float] = (2.60, 3.70, 2.30, 3.20),
               ) -> LinkPlan:
@@ -75,7 +71,7 @@ def _fmf_link(scheme: SchemeName, length_km: float = 0.0,
                           Side.RECEIVER)
     return LinkPlan(
         fiber=FiberSpec.fmf(*attenuation),
-        length_km=length_km,
+        length_km=0.0,
         scheme=MultiplexScheme.named(scheme),
         quantum_path_components=(mux, demux),
         classical_path_components=(mux, demux),
@@ -90,9 +86,6 @@ def _baseline(name: str, link: LinkPlan, scheme: SchemeName) -> Scenario:
         detector=DetectorSpec(),
         protocol=ProtocolParams(),
         intensities=DecoyIntensities(),
-        classical_launch_power_dbm=LAUNCH_POWER_DBM,
-        adaptive_power=False,
-        receiver_sensitivity_dbm=RECEIVER_SENSITIVITY_DBM,
     )
 
 

@@ -24,7 +24,7 @@ from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     _decoy_chain, _kernel, _rate_per_pulse, _y0_step,
                     dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
-                     DomainError, QkdCoexError, _require_finite)
+                     QkdCoexError, _require_finite)
 from .link import Band, LinkPlan, _path
 from .raman import RamanCoefficient, _srs_rate
 
@@ -364,11 +364,8 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
     with round-to-nearest arithmetic the classical loss, and the power it
     needs, never decrease with d, while the launch power in use is the fixed
     cap or min(needed, cap), so `launch + tol >= needed` can only turn false
-    once. The skipped points are ones the full scan evaluates without
-    effect, provided their channel cannot raise: their launch power is the
-    cap, so the clip is taken only when the cap's milliwatts times the
-    Raman coefficient times `to_km` (doubled, for the rounding of 10**x)
-    is finite. Otherwise the full scan runs, and raises as it did.
+    once. No grid point at or above the first infeasible one reaches the key
+    rate, and an error from a channel the search does evaluate propagates.
     """
     if from_km < 0.0:
         raise ConfigError(f"link length must be >= 0 km, got {from_km}")
@@ -381,24 +378,12 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
         return key(eta, y0)[7]
 
     feasible = None
-    if require_classical_feasible and _channel_cannot_raise(scenario, to_km):
+    if require_classical_feasible:
         def feasible(d: float) -> bool:
             return channel(d)[7]
 
     return find_rate_cliff(rate, from_km, to_km, coarse_step_km, resolution_km,
                            feasible)
-
-
-def _channel_cannot_raise(scenario: Scenario, to_km: float) -> bool:
-    """True when `channel(d)` raises for no d in [0, to_km]: the launch
-    power never exceeds the cap, so no power's milliwatts overflow, and
-    the SRS rate is at most power * rho * L, which stays finite."""
-    try:
-        power_mw = dbm_to_mw(scenario.classical_launch_power_dbm)
-    except DomainError:
-        return False
-    return math.isfinite(
-        2.0 * power_mw * scenario.raman.rho_cps_per_mw_km * to_km)
 
 
 # ---------------------------------------------------------------------------

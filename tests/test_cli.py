@@ -1,10 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdcoex.cli import build_parser, main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "qkdbench"))
+import inputs  # noqa: E402
 
 SCENARIO_INI = """
 [fiber]
@@ -316,3 +327,52 @@ def test_out_write_error_after_open_exit_2(verb, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("qkdcoex: computation failed: cannot write "
                                    "results to /dev/full: [Errno 28]")
+
+
+# Extreme values for any numeric INI key: signed zeros, subnormals, values
+# near the float limits, launch powers at and past the edge of the
+# milliwatt overflow (about 3082.5 dBm), and literals that overflow a float.
+_EXTREMES = ("0.0", "-0.0", "5e-324", "1e-310", "1e300", "-1e300", "1.7e308",
+             "3082.5", "4000", "1e400", str(10**400))
+
+
+@st.composite
+def _extreme_ini(draw):
+    """A physical INI scenario with 1-3 numeric keys set to extremes."""
+    text, _ = inputs._ini_scenario(
+        draw(st.randoms(use_true_random=False)),
+        draw(st.sampled_from(("smf", "lp01in", "lp02in"))), draw(st.booleans()),
+        draw(st.sampled_from(("quantum", "classical"))),
+        draw(st.sampled_from(("clock", "gate"))), draw(st.booleans()))
+    numeric = re.findall(r"^(\w+) = [-+\d.]", text, flags=re.M)
+    for key in draw(st.lists(st.sampled_from(numeric), min_size=1,
+                             max_size=3, unique=True)):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {draw(st.sampled_from(_EXTREMES))}",
+                      text, flags=re.M)
+    return text
+
+
+@settings(deadline=None, max_examples=80)
+@given(ini=_extreme_ini())
+def test_every_verb_exits_cleanly_on_extreme_ini(ini):
+    """Whatever the INI holds, `main` returns 0, 1 or 2 with one message and
+    no traceback; 2 is a computation failure."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "extreme.ini"
+        path.write_text(ini, encoding="utf-8")
+        for argv in (["sweep", "--step-km", "7"],
+                     ["sweep", "--step-km", "13", "--format", "json"],
+                     ["max-distance"],
+                     ["max-distance", "--ignore-classical-budget"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--scenario", str(path)])
+            stderr = err.getvalue()
+            assert code in (0, 1, 2), (argv, stderr)
+            assert "Traceback" not in stderr
+            if code == 0:
+                assert out.getvalue() and not stderr
+            else:
+                assert stderr.startswith("qkdcoex: ") and stderr.count("\n") == 1
+            if code == 2:
+                assert stderr.startswith("qkdcoex: computation failed:"), stderr

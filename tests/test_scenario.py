@@ -627,22 +627,14 @@ class TestClippedSearch:
         assert clipped == _search_outcome(
             _unclipped_search, scenario, from_km, to_km, step, budget)
 
-    # Channels that raise above the classical cliff, where the rate is 0:
-    # the search must raise as the full scan does, not skip the points.
+    # A launch power whose milliwatts overflow, above the classical cliff:
+    # the feasibility probes convert the cap, so the search still raises.
     @pytest.mark.parametrize("scenario, from_km, to_km, step", [
         # the cap's milliwatts overflow; adaptive and fixed power
         (replace(get_preset("fig4-power"), classical_launch_power_dbm=4000.0),
          20000.0, 20300.0, 1.0),
         (replace(get_preset("lp02in"), classical_launch_power_dbm=4000.0),
          20000.0, 20300.0, 1.0),
-        # the SRS rate, 1e10 * L cps, overflows at the top grid point only
-        (replace(get_preset("smf"),
-                 link=replace(get_preset("smf").link,
-                              fiber=FiberSpec.smf(1e-310, 0.2)),
-                 raman=replace(get_preset("smf").raman,
-                               rho_cps_per_mw_km=1e10),
-                 classical_launch_power_dbm=0.0),
-         1e298, 1.8e298, 1e296),
     ])
     def test_raising_channel_above_cliff_still_raises(self, scenario, from_km,
                                                       to_km, step):
@@ -651,6 +643,25 @@ class TestClippedSearch:
             max_secure_distance(scenario, from_km, to_km, coarse_step_km=step)
         with pytest.raises(DomainError):
             _unclipped_search(scenario, from_km, to_km, step, True)
+
+    def test_points_above_the_cliff_are_not_evaluated(self):
+        # The SRS rate, 1e10 * L cps, overflows at the top grid point only,
+        # which lies above the classical cliff: the budget-on search never
+        # evaluates it, while the full scan and the rate-only search do.
+        smf = get_preset("smf")
+        scenario = replace(
+            smf, link=replace(smf.link, fiber=FiberSpec.smf(1e-310, 0.2)),
+            raman=replace(smf.raman, rho_cps_per_mw_km=1e10),
+            classical_launch_power_dbm=0.0)
+        args = (scenario, 1e298, 1.8e298)
+        assert _classical_cliff_km(scenario) < args[1]
+        with pytest.raises(NoSecureDistanceError, match="non-positive"):
+            max_secure_distance(*args, coarse_step_km=1e296)
+        with pytest.raises(DomainError, match="Raman rate overflows"):
+            _unclipped_search(*args, 1e296, True)
+        with pytest.raises(DomainError, match="Raman rate overflows"):
+            max_secure_distance(*args, require_classical_feasible=False,
+                                coarse_step_km=1e296)
 
     def test_budget_search_skips_points_above_the_cliff(self, monkeypatch):
         channel_at, key_at = [], []
