@@ -492,23 +492,35 @@ def _calibration_points(scenarios: Sequence[Scenario],
 
 def _objective_row(points: list[tuple], ed: float):
     """The calibration objective along the grid row at `ed`, as
-    `objectives(fs)`: the objective at (ed, f) for each f in fs.
+    `objectives(fs, bound=inf)`: the objective at (ed, f) for each f in fs.
 
     Only the rate's last step depends on f, so each target's f-independent
     terms (its decoy chain and QBER term) are computed once, up front, which
     is exact: `_decoy_chain` is float arithmetic on validated intensities
     and cannot raise. Each cell adds the f tails of its targets in order and
     stops at its first zero rate, so every value has the per-cell sum's bits.
+
+    Each target adds a term >= 0, and rounded float addition is monotone
+    in each argument, so a cell's running total never decreases. A cell stops
+    once its total reaches `bound`: a cell whose objective is below `bound`
+    keeps its bits, and any other returns a value >= `bound`.
+    `objectives.lower_bound`, the row's QBER terms summed in target order
+    from 0.0, is <= every cell of the row (inf when a yield bound vanishes).
     """
-    row = []
+    row, lower_bound = [], 0.0
     for _, chain, (eta, y0), q_sift, clock_hz, p_mu, log_rate, qber in points:
         _, emu, _, _, _, _, _, terms = chain(eta, y0, ed)
         if terms is None:   # vanished yield bound: zero rate at every f
-            return lambda fs: [math.inf] * len(fs)
-        row.append((terms, q_sift, clock_hz, p_mu, log_rate,
-                    ((emu - qber) / 0.005) ** 2))
+            row, lower_bound = None, math.inf
+            break
+        qber_term = ((emu - qber) / 0.005) ** 2
+        row.append((terms, q_sift, clock_hz, p_mu, log_rate, qber_term))
+        lower_bound += qber_term
 
-    def objectives(fs: Sequence[float]) -> list[float]:
+    def objectives(fs: Sequence[float],
+                   bound: float = math.inf) -> list[float]:
+        if row is None:
+            return [math.inf] * len(fs)
         totals = []
         for f in fs:
             total = 0.0
@@ -518,8 +530,11 @@ def _objective_row(points: list[tuple], ed: float):
                     total = math.inf
                     break
                 total += (math.log(rate) - log_rate) ** 2 + qber_term
+                if total >= bound:
+                    break
             totals.append(total)
         return totals
+    objectives.lower_bound = lower_bound
     return objectives
 
 
@@ -536,10 +551,20 @@ def calibrate(scenarios: Sequence[Scenario],
     followed by alternating golden-section refinement of each coordinate
     within one grid cell of the best point.
 
-    The grid is evaluated by row (`_objective_row`): the f-independent part
-    of each target's rate is computed once per e_d, and every cell gives
-    the bits of the per-cell objective, so the report is unchanged. The
-    golden-section steps in f reuse the row of their e_d.
+    The grid is searched by row (`_objective_row`), branch and bound: the
+    f-independent part of each target's rate is computed once per e_d,
+    which also gives the row's lower bound. The pilot row, the one with the
+    smallest lower bound, is evaluated in full; its minimum U is a grid
+    value, so no cell above U can be the minimum. Rows are then scanned in
+    order, skipping a row whose lower bound is above U or not below the
+    best so far, and each cell stops adding targets once its total is above
+    U or not below the best at the row's start. This is exact for two
+    reasons. Every target's term is >= 0 and float addition is monotone, so
+    a partial sum never exceeds the cell's objective. And a cell replaces
+    the best only when strictly smaller, so ties go to the first cell in
+    row-major order, which no skipped cell could be. The report keeps the
+    bits of the full scan. The golden-section steps use exact values, and
+    the steps in f reuse the row of their e_d.
     """
     if not targets:
         raise ConfigError("calibration needs at least one target")
@@ -551,11 +576,19 @@ def calibrate(scenarios: Sequence[Scenario],
     points = _calibration_points(scenarios, targets)
     n_ed = int(round((ED_BOUNDS[1] - ED_BOUNDS[0]) / ED_STEP)) + 1
     n_f = int(round((F_BOUNDS[1] - F_BOUNDS[0]) / F_STEP)) + 1
-    best = (math.inf, ED_BOUNDS[0], F_BOUNDS[0])
     fs = [F_BOUNDS[0] + j * F_STEP for j in range(n_f)]
-    for i in range(n_ed):
-        ed = ED_BOUNDS[0] + i * ED_STEP
-        for value, f in zip(_objective_row(points, ed)(fs), fs):
+    eds = [ED_BOUNDS[0] + i * ED_STEP for i in range(n_ed)]
+    rows = [_objective_row(points, ed) for ed in eds]
+    pilot = min(range(n_ed), key=lambda i: rows[i].lower_bound)
+    pilot_values = rows[pilot](fs)
+    above_pilot = math.nextafter(min(pilot_values), math.inf)
+    best = (math.inf, ED_BOUNDS[0], F_BOUNDS[0])
+    for i, (ed, row) in enumerate(zip(eds, rows)):
+        bound = min(above_pilot, best[0])
+        if row.lower_bound >= bound:
+            continue
+        values = pilot_values if i == pilot else row(fs, bound)
+        for value, f in zip(values, fs):
             if value < best[0]:
                 best = (value, ed, f)
     if not math.isfinite(best[0]):

@@ -21,7 +21,8 @@ from qkdcoex.link import (Band, FiberSpec, Mode, SchemeName, _path,
 from qkdcoex.presets import REFERENCE_TARGETS, get_preset, preset_names
 from qkdcoex.raman import srs_noise_rate_cps
 from qkdcoex.scenario import (ED_BOUNDS, ED_STEP, F_BOUNDS, F_STEP,
-                              CalibrationTarget, SweepSpec, _calibration_points,
+                              CalibrationReport, CalibrationTarget, SweepSpec,
+                              TargetResidual, _calibration_points, _golden_min,
                               _objective_row, _resolve, apply_calibration,
                               calibrate, channel_state, emit_results,
                               evaluate_at, launch_power_dbm,
@@ -296,6 +297,43 @@ def _cell_objective(scenarios, targets, ed, f):
     return total
 
 
+def _full_scan_calibrate(scenarios, targets):
+    """`calibrate` with its grid scanned in full: every cell of every row in
+    row-major order, with no bound, then the same refinement and residuals."""
+    points = _calibration_points(scenarios, targets)
+    best = (math.inf, ED_BOUNDS[0], F_BOUNDS[0])
+    for ed in _GRID_ED:
+        for value, f in zip(_objective_row(points, ed)(_GRID_F), _GRID_F):
+            if value < best[0]:
+                best = (value, ed, f)
+    if not math.isfinite(best[0]):
+        raise CalibrationError("objective non-finite over the whole grid")
+
+    _, ed, f = best
+    for _ in range(3):
+        ed = _golden_min(lambda x: _objective_row(points, x)([f])[0],
+                         max(ED_BOUNDS[0], ed - ED_STEP),
+                         min(ED_BOUNDS[1], ed + ED_STEP))
+        row = _objective_row(points, ed)
+        f = _golden_min(lambda x: row([x])[0],
+                        max(F_BOUNDS[0], f - F_STEP),
+                        min(F_BOUNDS[1], f + F_STEP))
+    refined = row([f])[0]
+    if refined > best[0]:
+        _, ed, f = best
+        refined = best[0]
+
+    residuals = []
+    for scenario, target in zip(scenarios, targets):
+        channel, key = _resolve(scenario)
+        _, _, _, _, _, y0, eta, _ = channel(target.distance_km)
+        _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
+        residuals.append(TargetResidual(scenario.name, target.distance_km,
+                                        rate, target.key_rate_bps, emu,
+                                        target.qber))
+    return CalibrationReport(ed, f, tuple(residuals), refined)
+
+
 def _calibration_targets():
     """1-3 targets as (preset, mu, distance_km, key_rate_bps, qber); a mu
     of 3 makes the yield bound vanish at short distances."""
@@ -305,6 +343,13 @@ def _calibration_targets():
                               st.floats(1.0, 1e7),
                               st.floats(0.0, 0.1)),
                     min_size=1, max_size=3)
+
+
+def _fit_inputs(targets):
+    """Scenarios and `CalibrationTarget`s from `_calibration_targets()`."""
+    scenarios = [replace(get_preset(name), intensities=DecoyIntensities(mu=mu))
+                 for name, mu, *_ in targets]
+    return scenarios, [CalibrationTarget(*t) for _, _, *t in targets]
 
 
 class TestCalibration:
@@ -375,16 +420,97 @@ class TestCalibration:
     @example(targets=[("lp01in", 0.4, 87.0, 50.0, 0.05)], ed=0.02,
              fs=_GRID_F)
     def test_row_objective_is_the_cell_objective(self, targets, ed, fs):
-        scenarios = [replace(get_preset(name),
-                             intensities=DecoyIntensities(mu=mu))
-                     for name, mu, *_ in targets]
-        cal_targets = [CalibrationTarget(*t) for _, _, *t in targets]
+        scenarios, cal_targets = _fit_inputs(targets)
         expected = [_cell_objective(scenarios, cal_targets, ed, f).hex()
                     for f in fs]
         row = _objective_row(_calibration_points(scenarios, cal_targets), ed)
         assert [v.hex() for v in row(fs)] == expected
         # one f at a time, as the golden-section steps call it
         assert [row([f])[0].hex() for f in fs] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(targets=_calibration_targets(),
+           ed=st.one_of(st.sampled_from(_GRID_ED), st.floats(*ED_BOUNDS)),
+           cell=st.integers(0, 50),
+           bound=st.one_of(st.none(), st.floats(min_value=0.0)))
+    # a vanished yield bound at the second target: every cell is inf
+    @example(targets=[("smf", 0.4, 63.0, 2300.0, 0.04),
+                      ("lp01in", 3.0, 20.0, 1e5, 0.02)],
+             ed=0.02, cell=0, bound=None)
+    # near the cliff, bounded by a cell's own value
+    @example(targets=[("lp01in", 0.4, 87.0, 50.0, 0.05)], ed=0.02,
+             cell=50, bound=None)
+    def test_bounded_row_keeps_every_cell_below_the_bound(self, targets, ed,
+                                                          cell, bound):
+        """With a bound B, a cell below B keeps its bits and any other
+        comes back >= B; the row's lower bound is <= every cell."""
+        scenarios, cal_targets = _fit_inputs(targets)
+        row = _objective_row(_calibration_points(scenarios, cal_targets), ed)
+        exact = row(_GRID_F)
+        if bound is None:   # a bound the row reaches exactly
+            bound = exact[cell]
+        for value, bounded in zip(exact, row(_GRID_F, bound)):
+            if value < bound:
+                assert bounded.hex() == value.hex()
+            else:
+                assert bounded >= bound
+        assert all(row.lower_bound <= value for value in exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(targets=_calibration_targets())
+    # one target twice: every cell's terms come in equal pairs
+    @example(targets=[("smf", 0.4, 63.0, 2300.0, 0.04)] * 2)
+    # mu = 3 at 20 km: the yield bound vanishes, every row is infinite
+    @example(targets=[("smf", 3.0, 20.0, 1e5, 0.02)])
+    # the yield bound vanishes for the second target only
+    @example(targets=[("smf", 0.4, 63.0, 2300.0, 0.04),
+                      ("lp01in", 3.0, 20.0, 1e5, 0.02)])
+    # a single target at the cliff: zero rates over part of the grid
+    @example(targets=[("lp01in", 0.4, 87.0, 50.0, 0.05)])
+    def test_pruned_grid_gives_the_full_scan_report(self, targets):
+        scenarios, cal_targets = _fit_inputs(targets)
+        try:
+            expected = repr(_full_scan_calibrate(scenarios, cal_targets))
+        except CalibrationError:
+            with pytest.raises(CalibrationError):
+                calibrate(scenarios, cal_targets)
+            return
+        assert repr(calibrate(scenarios, cal_targets)) == expected
+
+    def test_ties_go_to_the_first_cell(self):
+        # With no dark counts, Y0 is 0 at 0 km, so on the e_d = 0 row the
+        # QBER and its entropy are 0 and all 51 cells are equal. A target
+        # at the rate of that row makes them the grid's minimum, 0.0, and
+        # the first of them, f = 1.0, is the fit.
+        smf = get_preset("smf")
+        scenario = replace(smf, detector=replace(smf.detector,
+                                                 dark_count_per_gate=0.0))
+        rate = evaluate_at(apply_calibration(scenario, 0.0, 1.0),
+                           0.0).key_rate_bps
+        targets = [CalibrationTarget(0.0, rate, 0.0)]
+        points = _calibration_points([scenario], targets)
+        assert _objective_row(points, 0.0)(_GRID_F) == [0.0] * 51
+        report = calibrate([scenario], targets)
+        assert (report.misalignment_error, report.ec_efficiency,
+                report.objective) == (0.0, 1.0, 0.0)
+        assert repr(report) == repr(_full_scan_calibrate([scenario], targets))
+
+    @settings(max_examples=40, deadline=None)
+    @given(targets=st.lists(
+        st.tuples(st.sampled_from(preset_names()),
+                  st.sampled_from([0.0, 5e-324, 1e300, 1.7e308]),
+                  st.floats(5e-324, 1.7e308),
+                  st.sampled_from([0.0, 1.0])),
+        min_size=1, max_size=3))
+    def test_extreme_targets_fit_or_raise_a_package_error(self, targets):
+        try:
+            report = calibrate([get_preset(name) for name, *_ in targets],
+                               [CalibrationTarget(*t) for _, *t in targets])
+        except QkdCoexError:
+            return
+        assert math.isfinite(report.misalignment_error)
+        assert math.isfinite(report.ec_efficiency)
+        assert math.isfinite(report.objective)
 
     def test_apply_calibration(self):
         s = apply_calibration(get_preset("smf"), 0.02, 1.3)
