@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -251,22 +252,34 @@ def _path(plan: LinkPlan, channel: Band) -> tuple[float, tuple[float, ...]]:
             tuple(comp.loss_for(mode) for comp in components))
 
 
+def _loss_db(alpha: float, insertion_losses: tuple, length_km: float) -> float:
+    """The loss sum of one path: alpha*L first, then each insertion loss
+    added in path order (never pre-summed)."""
+    loss = alpha * length_km
+    for il in insertion_losses:
+        loss += il
+    return loss
+
+
+def _transmittance(loss_db: float) -> float:
+    """10^(-loss/10), unchecked."""
+    return 10.0 ** (-loss_db / 10.0)
+
+
 def total_loss_db(plan: LinkPlan, channel: Band) -> float:
     """End-to-end loss of one channel: fiber attenuation times length plus
-    the insertion losses along that channel's path, alpha*L first and then
-    each insertion loss added in path order (never pre-summed)."""
-    alpha_db_per_km, insertion_losses_db = _path(plan, channel)
-    loss = alpha_db_per_km * plan.length_km
-    for il in insertion_losses_db:
-        loss += il
+    the insertion losses along that channel's path (`_loss_db`)."""
+    loss = _loss_db(*_path(plan, channel), plan.length_km)
+    if loss == math.inf:
+        raise DomainError(f"{channel.value} loss overflows a float")
     return loss
 
 
 def transmittance(loss_db: float) -> float:
     """Linear power transmittance of a dB loss: 10^(-loss/10)."""
-    if loss_db < 0.0:
+    if not loss_db >= 0.0:
         raise DomainError(f"loss must be >= 0 dB, got {loss_db}")
-    return 10.0 ** (-loss_db / 10.0)
+    return _transmittance(loss_db)
 
 
 def modal_isolation_at(table: IsolationTable, direction: SchemeName,
@@ -275,7 +288,7 @@ def modal_isolation_at(table: IsolationTable, direction: SchemeName,
     distance; exact at tabulated points, no extrapolation."""
     rows = table.rows_for(direction)
     distances = [d for d, _ in rows]
-    if distance_km < distances[0] or distance_km > distances[-1]:
+    if not distances[0] <= distance_km <= distances[-1]:
         raise DomainError(
             f"distance {distance_km} km outside tabulated range "
             f"[{distances[0]}, {distances[-1]}] km"
@@ -293,4 +306,8 @@ def classical_min_launch_power_dbm(plan: LinkPlan,
                                    receiver_sensitivity_dbm: float) -> float:
     """Minimum launch power that still closes the classical link: the
     channel loss plus the receiver sensitivity."""
-    return total_loss_db(plan, Band.CLASSICAL) + receiver_sensitivity_dbm
+    floor = total_loss_db(plan, Band.CLASSICAL) + receiver_sensitivity_dbm
+    if not math.isfinite(floor):
+        raise DomainError(f"power floor at sensitivity "
+                          f"{receiver_sensitivity_dbm} dBm is not finite")
+    return floor

@@ -89,7 +89,7 @@ def srs_noise_rate_cps(power_mw: float, rho: RamanCoefficient,
     physically zero and carries no exactness promise: rounding at a fixed
     absolute step need not double exactly.
     """
-    if power_mw < 0.0 or distance_km < 0.0 or alpha_db_per_km < 0.0:
+    if not (power_mw >= 0.0 and distance_km >= 0.0 and alpha_db_per_km >= 0.0):
         raise DomainError("power, distance and attenuation must be >= 0")
     return _srs_rate(power_mw, rho.rho_cps_per_mw_km, distance_km,
                      alpha_db_per_km)
@@ -108,9 +108,13 @@ def noise_prob_per_pulse(rate_cps: float, clock_hz: float) -> float:
 
 def peak_noise_distance_km(alpha_db_per_km: float) -> float:
     """Distance of the interior maximum of the noise curve, 10/(alpha ln 10)."""
-    if alpha_db_per_km <= 0.0:
+    if not alpha_db_per_km > 0.0:
         raise DomainError("attenuation must be > 0")
-    return 10.0 / (alpha_db_per_km * math.log(10.0))
+    peak = 10.0 / (alpha_db_per_km * math.log(10.0))
+    if peak == math.inf:
+        raise DomainError(f"attenuation {alpha_db_per_km} dB/km is too small "
+                          f"for a finite peak distance")
+    return peak
 
 
 def fit_raman_coefficient(measurements: Sequence[NoiseMeasurement],
@@ -175,7 +179,10 @@ def coefficient_suppression(rho_smf: float, rho_fmf: Iterable[float]) -> float:
     fmf = list(rho_fmf)
     if rho_smf <= 0.0 or not fmf:
         raise DomainError("need a positive SMF coefficient and FMF coefficients")
-    return 1.0 - (sum(fmf) / len(fmf)) / rho_smf
+    suppression = 1.0 - (sum(fmf) / len(fmf)) / rho_smf
+    if not math.isfinite(suppression):
+        raise DomainError(f"suppression of {fmf} against {rho_smf} is not finite")
+    return suppression
 
 
 def detected_count_suppression(smf: tuple[float, float],
@@ -190,8 +197,11 @@ def detected_count_suppression(smf: tuple[float, float],
     averaged over the grid. The launch power cancels.
     """
     rho_smf, alpha_smf = smf
-    if not distances_km:
-        raise DomainError("need at least one distance")
+    if not distances_km or not fmf:
+        raise DomainError("need at least one distance and one FMF entry")
+    if not all(x >= 0.0 for x in (alpha_smf, *(a for _, a in fmf),
+                                  *distances_km)):
+        raise DomainError("attenuations and distances must be >= 0")
     total = 0.0
     for d in distances_km:
         ref = _srs_rate(1.0, rho_smf, d, alpha_smf)
@@ -200,4 +210,7 @@ def detected_count_suppression(smf: tuple[float, float],
         mean_fmf = sum(_srs_rate(1.0, rho, d, alpha)
                        for rho, alpha in fmf) / len(fmf)
         total += 1.0 - mean_fmf / ref
-    return total / len(distances_km)
+    suppression = total / len(distances_km)
+    if not math.isfinite(suppression):
+        raise DomainError("detected-count suppression is not finite")
+    return suppression

@@ -24,8 +24,8 @@ from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     _decoy_chain, _kernel, _rate_per_pulse, _y0_step,
                     dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
-                     QkdCoexError, _require_finite)
-from .link import Band, LinkPlan, _path
+                     DomainError, QkdCoexError, _require_finite)
+from .link import Band, LinkPlan, _loss_db, _path, _transmittance
 from .raman import RamanCoefficient, _srs_rate
 
 RESULT_FIELDS = (
@@ -144,9 +144,10 @@ def _resolve(scenario: Scenario):
     """Validate once; return `(channel, key)`: `channel(d)` gives the
     `ChannelState` fields after `distance_km` by float arithmetic only, and
     `key` the kernel. The link, Raman and Y0 constants are bound here; each
-    step keeps the operations, and their order, of the public function
-    that states it (`total_loss_db`, `srs_noise_rate_cps`,
-    `background_yield`, `transmittance`), so every value has their bits."""
+    step calls the statement its public function calls (`link._loss_db`,
+    `link._transmittance`, `raman._srs_rate`, `decoy._y0_step`), so every
+    value has their bits. Only the power floor, loss + sensitivity, is
+    written here as in `classical_min_launch_power_dbm`."""
     alpha_q, il_q = _path(scenario.link, Band.QUANTUM)
     alpha_c, il_c = _path(scenario.link, Band.CLASSICAL)
     alpha_r = alpha_q if scenario.raman_alpha_basis is Band.QUANTUM else alpha_c
@@ -163,20 +164,15 @@ def _resolve(scenario: Scenario):
     def channel(d: float) -> tuple:
         if not d >= 0.0:
             raise ConfigError(f"link length must be >= 0 km, got {d}")
-        # alpha*d, then each insertion loss in path order
-        quantum_loss = alpha_q * d
-        for il in il_q:
-            quantum_loss += il
-        classical_loss = alpha_c * d
-        for il in il_c:
-            classical_loss += il
+        quantum_loss = _loss_db(alpha_q, il_q, d)
+        classical_loss = _loss_db(alpha_c, il_c, d)
         needed = classical_loss + sensitivity
         launch = min(needed, cap) if adaptive else cap
         srs = _srs_rate(dbm_to_mw(launch), rho, d, alpha_r)
-        # quantum_loss >= 0 for d >= 0, so `transmittance` cannot refuse it
+        # quantum_loss >= 0 for d >= 0: the check of `transmittance` holds
         return (quantum_loss, classical_loss, needed, launch, srs,
                 min(y0_of(srs), _Y0_MAX),
-                10.0 ** (-quantum_loss / 10.0) * efficiency,
+                _transmittance(quantum_loss) * efficiency,
                 launch + _FEASIBILITY_TOL_DB >= needed)
 
     return channel, _kernel(scenario.intensities, protocol)
@@ -196,9 +192,13 @@ def launch_power_dbm(scenario: Scenario, distance_km: float) -> float:
 
 
 def channel_state(scenario: Scenario, distance_km: float) -> ChannelState:
-    """Evaluate the link budget and background yield at one distance."""
+    """Evaluate the link budget and background yield at one distance. A
+    loss or power floor that overflows a float raises DomainError."""
     channel, _ = _resolve(scenario)
-    return ChannelState(distance_km, *channel(distance_km))
+    state = channel(distance_km)
+    if not all(map(math.isfinite, state[:-1])):
+        raise DomainError(f"link budget overflows a float at {distance_km} km")
+    return ChannelState(distance_km, *state)
 
 
 def evaluate_at(scenario: Scenario, distance_km: float) -> ResultRow:

@@ -122,6 +122,22 @@ def test_max_distance_overflowing_power_exit_1(tmp_path, capsys):
                             "convert to mW\n")
 
 
+def test_max_distance_below_float_resolution_exit_1(tmp_path, capsys):
+    # With almost no attenuation and no Raman noise the cliff lies near
+    # 7.1e13 km, where adjacent floats are 0.0156 km apart: the bisection
+    # cannot reach 0.01 km. It used to loop forever.
+    path = tmp_path / "far.ini"
+    path.write_text(SCENARIO_INI.replace("= 0.190", "= 4.2766e-13").replace(
+        "= 12076", "= 1e-30"), encoding="utf-8")
+    assert main(["max-distance", "--scenario", str(path), "--from-km",
+                 "71003193878500", "--to-km", "71003193879500",
+                 "--ignore-classical-budget"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qkdcoex: resolution 0.01 km is below "
+                                   "the float resolution at 7100319387")
+
+
 def test_parser_reused_without_state(capsys):
     assert build_parser() is not build_parser()
     argv = ["max-distance", "--preset", "fig4-full", "--format", "json"]

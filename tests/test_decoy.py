@@ -8,9 +8,8 @@ from hypothesis import assume, example, given, strategies as st
 import oracles
 from qkdcoex import get_preset, scenario
 from qkdcoex.decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
-                           DistanceResult, ProtocolParams, _e1_upper, _kernel,
-                           _y1_lower, background_yield,
-                           binary_entropy, dbm_to_mw, e1_upper_bound,
+                           DistanceResult, ProtocolParams, _kernel,
+                           background_yield, binary_entropy, dbm_to_mw, e1_upper_bound,
                            find_rate_cliff, gain_and_qber, key_rate_details,
                            max_secure_distance_km, secure_key_rate_bps,
                            y1_lower_bound)
@@ -176,6 +175,11 @@ class TestDecoyBounds:
     def test_e1_undefined_when_yield_bound_zero(self):
         with pytest.raises(UndefinedBoundError):
             e1_upper_bound(0.01, 0.05, INT.nu, 0.0, 0.0)
+
+    def test_e1_zero_decoy_intensity_rejected(self):
+        # nu = 0 divided by zero: a bare ZeroDivisionError, not a DomainError
+        with pytest.raises(DomainError, match="decoy intensity must be > 0"):
+            e1_upper_bound(0.1, 0.02, 0.0, 0.5, 1e-6)
 
     def test_degenerate_intensities_rejected(self):
         with pytest.raises(ConfigError):
@@ -486,6 +490,25 @@ def _bits(*values):
 # Probabilities over [0, 1] with weight on 0.0, the subnormals and 1.0.
 _PROB = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300),
                   st.sampled_from((0.0, 5e-324, 1.0)))
+
+
+# The clamp-count reference of TestBoundKernel: each raw bound with the
+# operations of `y1_lower_bound` and `e1_upper_bound` in their order, and 1
+# if it is clamped, else 0.
+
+def _y1_lower(qmu, qnu, mu, nu, y0):
+    denom = mu * nu - nu * nu
+    raw = (mu / denom) * (
+        qnu * math.exp(nu)
+        - qmu * math.exp(mu) * (nu * nu) / (mu * mu)
+        - (mu * mu - nu * nu) / (mu * mu) * y0
+    )
+    return raw, int(raw < 0.0 or raw > 1.0)
+
+
+def _e1_upper(enu, qnu, nu, y1, y0, e0):
+    raw = (enu * qnu * math.exp(nu) - e0 * y0) / (y1 * nu)
+    return raw, int(raw < 0.0 or raw > 0.5)
 
 
 class TestBoundKernel:

@@ -27,7 +27,8 @@ import pytest
 from qkdcoex import REFERENCE_TARGETS, get_preset, preset_names
 from qkdcoex.cli import main
 from qkdcoex.scenario import (CalibrationTarget, SweepSpec, calibrate,
-                              rows_to_csv, rows_to_json, run_sweep)
+                              max_secure_distance, rows_to_csv, rows_to_json,
+                              run_sweep)
 
 GRID = ("0", "300", "0.1")
 
@@ -226,6 +227,31 @@ def test_cli_max_distance(preset, fmt, ignore_budget, capsys):
                  *flags]) == 0
     assert (_sha(capsys.readouterr().out)
             == MAX_DISTANCE_GOLDEN[preset, fmt, ignore_budget])
+
+
+# The Fig. 4 cliffs those digests hold, as readable numbers: each preset's
+# max secure distance in km as the CLI prints it (`f"{distance_km:.2f}"`),
+# with the classical budget on and then off.
+FIG4_CLIFFS = {
+    "smf": ("140.45", "140.45"),
+    "lp01in": ("88.20", "88.20"),
+    "lp02in": ("91.44", "110.86"),
+    "fig4-power": ("91.44", "110.86"),
+    "fig4-power-fmf": ("179.09", "179.42"),
+    "fig4-full": ("179.09", "212.51"),
+}
+
+
+def test_fig4_cliffs_cover_every_preset():
+    assert sorted(FIG4_CLIFFS) == sorted(preset_names())
+
+
+@pytest.mark.parametrize("preset", sorted(FIG4_CLIFFS))
+def test_fig4_cliff_table(preset):
+    scenario = get_preset(preset)
+    cliffs = [max_secure_distance(scenario, require_classical_feasible=budget)
+              for budget in (True, False)]
+    assert tuple(f"{c.distance_km:.2f}" for c in cliffs) == FIG4_CLIFFS[preset]
 
 
 # `max-distance --from-km A --to-km B`, indexed below as

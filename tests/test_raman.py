@@ -211,3 +211,8 @@ class TestSuppression:
             coefficient_suppression(0.0, (1.0,))
         with pytest.raises(DomainError):
             detected_count_suppression((1.0, 0.2), [(1.0, 0.2)], [])
+
+    def test_no_fmf_entries_rejected(self):
+        # the FMF mean divided by zero: a bare ZeroDivisionError
+        with pytest.raises(DomainError, match="one FMF entry"):
+            detected_count_suppression((1.0, 0.2), [], [1.0])
