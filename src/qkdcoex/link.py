@@ -3,8 +3,8 @@ modal isolation and the classical power budget.
 
 All losses are stored and summed in dB; conversion to a linear
 transmittance happens only at the `transmittance` boundary. Types are
-frozen dataclasses and every operation is a pure function, so everything
-here is safe to share across threads.
+frozen dataclasses with read-only maps, and every operation is a pure
+function, so everything here is hashable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -56,19 +56,38 @@ _SMF_MODES = (Mode.FUNDAMENTAL,)
 _FMF_MODES = (Mode.LP01, Mode.LP02)
 
 
+class _FrozenMap(dict):
+    """A dict that refuses every write, so a validated spec stays valid.
+    `repr` and `==` are the dict's; it hashes, pickles and copies."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a spec's map is read-only; build a new spec instead")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class FiberSpec:
     """Per-mode, per-band attenuation of a fiber.
 
     Attenuation values must be positive and below 1 dB/km. An SMF spec
     carries the fundamental mode at both bands; an FMF spec carries LP01
-    and LP02 at both bands.
+    and LP02 at both bands. The map is stored as a read-only copy.
     """
 
     kind: FiberKind
     attenuation_db_per_km: Mapping[tuple[Mode, Band], float]
 
     def __post_init__(self):
+        object.__setattr__(self, "attenuation_db_per_km",
+                           _FrozenMap(self.attenuation_db_per_km))
         modes = _SMF_MODES if self.kind is FiberKind.SMF else _FMF_MODES
         for mode in modes:
             for band in Band:
@@ -116,13 +135,15 @@ class FiberSpec:
 
 @dataclass(frozen=True)
 class ComponentSpec:
-    """Inline component with a per-mode insertion loss."""
+    """Inline component with a per-mode insertion loss (a read-only map)."""
 
     name: str
     insertion_loss_db: Mapping[Mode, float]
     position: Side
 
     def __post_init__(self):
+        object.__setattr__(self, "insertion_loss_db",
+                           _FrozenMap(self.insertion_loss_db))
         _require_finite(f"component {self.name!r}:", **vars(self))
         for mode, value in self.insertion_loss_db.items():
             if value < 0.0:

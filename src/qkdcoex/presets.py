@@ -78,7 +78,8 @@ def _fmf_link(scheme: SchemeName,
     )
 
 
-def _baseline(name: str, link: LinkPlan, scheme: SchemeName) -> Scenario:
+def _baseline(name: str, link: LinkPlan) -> Scenario:
+    scheme = link.scheme.name
     return Scenario(
         name=name,
         link=link,
@@ -89,51 +90,21 @@ def _baseline(name: str, link: LinkPlan, scheme: SchemeName) -> Scenario:
     )
 
 
-def _preset_smf() -> Scenario:
-    return _baseline("smf", _smf_link(), SchemeName.SMF)
+_LP02IN = _baseline("lp02in", _fmf_link(SchemeName.LP02_IN))
+_FIG4_POWER = replace(_LP02IN, name="fig4-power", adaptive_power=True)
+_FIG4_POWER_FMF = replace(_FIG4_POWER, name="fig4-power-fmf", link=_fmf_link(
+    SchemeName.LP02_IN, attenuation=(ULL_ATTENUATION_DB_PER_KM,) * 2,
+    coupler_il=(ULL_COUPLER_IL_DB,) * 4))
+_FIG4_FULL = replace(_FIG4_POWER_FMF, name="fig4-full", detector=replace(
+    _FIG4_POWER_FMF.detector, efficiency=IMPROVED_DETECTOR_EFFICIENCY,
+    dark_count_per_gate=(IMPROVED_DARK_RATE_CPS
+                         / _FIG4_POWER_FMF.detector.gate_hz)))
 
-
-def _preset_lp01in() -> Scenario:
-    return _baseline("lp01in", _fmf_link(SchemeName.LP01_IN), SchemeName.LP01_IN)
-
-
-def _preset_lp02in() -> Scenario:
-    return _baseline("lp02in", _fmf_link(SchemeName.LP02_IN), SchemeName.LP02_IN)
-
-
-def _preset_fig4_power() -> Scenario:
-    base = _preset_lp02in()
-    return replace(base, name="fig4-power", adaptive_power=True)
-
-
-def _preset_fig4_power_fmf() -> Scenario:
-    base = _preset_fig4_power()
-    a = ULL_ATTENUATION_DB_PER_KM
-    il = ULL_COUPLER_IL_DB
-    link = _fmf_link(SchemeName.LP02_IN, attenuation=(a, a),
-                     coupler_il=(il, il, il, il))
-    return replace(base, name="fig4-power-fmf", link=link)
-
-
-def _preset_fig4_full() -> Scenario:
-    base = _preset_fig4_power_fmf()
-    detector = DetectorSpec(
-        efficiency=IMPROVED_DETECTOR_EFFICIENCY,
-        gate_hz=base.detector.gate_hz,
-        dark_count_per_gate=IMPROVED_DARK_RATE_CPS / base.detector.gate_hz,
-        num_detectors=base.detector.num_detectors,
-    )
-    return replace(base, name="fig4-full", detector=detector)
-
-
-_PRESETS = {
-    "smf": _preset_smf,
-    "lp01in": _preset_lp01in,
-    "lp02in": _preset_lp02in,
-    "fig4-power": _preset_fig4_power,
-    "fig4-power-fmf": _preset_fig4_power_fmf,
-    "fig4-full": _preset_fig4_full,
-}
+_PRESETS = {scenario.name: scenario for scenario in (
+    _baseline("smf", _smf_link()),
+    _baseline("lp01in", _fmf_link(SchemeName.LP01_IN)),
+    _LP02IN, _FIG4_POWER, _FIG4_POWER_FMF, _FIG4_FULL,
+)}
 
 PRESET_SUMMARIES = {
     "smf": "single-mode baseline; quantum and classical share the fundamental "
@@ -153,14 +124,16 @@ def preset_names() -> tuple[str, ...]:
 
 
 def get_preset(name: str) -> Scenario:
-    """Build a named preset scenario."""
+    """The named preset: one shared, immutable instance, built at import.
+    Derive a variant with `dataclasses.replace`; writing to a spec's map
+    (a fiber's attenuations, a component's insertion losses) raises
+    TypeError."""
     try:
-        factory = _PRESETS[name]
+        return _PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(_PRESETS)}"
         ) from None
-    return factory()
 
 
 # Reference operating points (distance, real-time secure key rate, QBER)

@@ -201,15 +201,28 @@ def channel_state(scenario: Scenario, distance_km: float) -> ChannelState:
     return ChannelState(distance_km, *state)
 
 
+def _finite_losses(point: tuple) -> tuple:
+    """`point`, once its two losses are checked: a loss that overflows a
+    float raises DomainError, as in `channel_state`."""
+    if not (math.isfinite(point[2]) and math.isfinite(point[3])):
+        raise DomainError(f"link budget overflows a float at {point[0]} km")
+    return point
+
+
 def evaluate_at(scenario: Scenario, distance_km: float) -> ResultRow:
-    """One full sweep point: link budget, noise, decoy bounds, key rate."""
-    return ResultRow(*_point(*_resolve(scenario), distance_km))
+    """One full sweep point: link budget, noise, decoy bounds, key rate. A
+    loss that overflows a float raises DomainError."""
+    return ResultRow(*_finite_losses(_point(*_resolve(scenario), distance_km)))
 
 
 def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[tuple]:
     """One `_point` tuple per grid point, in ascending distance. The
     package's own errors pass through with their exit code; any other
-    exception becomes a `ComputationError` naming the distance."""
+    exception becomes a `ComputationError` naming the distance.
+
+    A loss that overflows a float raises DomainError. Neither loss decreases
+    with distance on the ascending grid (see `max_secure_distance`), so only
+    the last row is checked."""
     distances = sweep.distances()
     # A scenario that fails to resolve is reported at the first point.
     table, d = [], distances[0]
@@ -223,6 +236,7 @@ def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[tuple]:
         raise ComputationError(
             f"sweep of {scenario.name!r} failed at {d} km: {exc}"
         ) from exc
+    _finite_losses(table[-1])
     return table
 
 
@@ -454,14 +468,17 @@ class CalibrationReport:
             )
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
+_GOLDEN_TOL = 1e-6
+
+
+def _golden_min(fn, lo: float, hi: float) -> float:
     """Deterministic golden-section minimizer on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

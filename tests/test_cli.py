@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdcoex.cli import build_parser, main
+from qkdcoex.config import load_scenario
+from qkdcoex.errors import DomainError
+from qkdcoex.scenario import SweepSpec, evaluate_at, run_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "qkdbench"))
 import inputs  # noqa: E402
@@ -120,6 +123,39 @@ def test_max_distance_overflowing_power_exit_1(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("qkdcoex: power 4000.0 dBm is too large to "
                             "convert to mW\n")
+
+
+# Links whose losses overflow a float, with a sweep that reaches the
+# overflow: (INI, --from-km, --to-km). The first one's insertion losses
+# alone overflow; the second one's loss does only at 1.79e308 km.
+_OVERFLOWING_LINKS = {
+    "insertion-loss": (SCENARIO_INI.replace("= 0.49", "= 1.7e308").replace(
+        "= 0.36", "= 1.7e308"), "0", "1"),
+    "far": (SCENARIO_INI.replace("= 0.190", "= 0.99").replace(
+        "= 0.192", "= 0.99").replace("= 0.49", "= 1e307"),
+        "1.79e308", "1.79e308"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_LINKS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_overflowing_loss_exit_1(case, fmt, tmp_path, capsys):
+    # An infinite loss is an error, not an `inf` or `Infinity` row.
+    ini, from_km, to_km = _OVERFLOWING_LINKS[case]
+    path, out = tmp_path / "lossy.ini", tmp_path / "rows.out"
+    path.write_text(ini, encoding="utf-8")
+    message = f"link budget overflows a float at {float(to_km)} km"
+    assert main(["sweep", "--scenario", str(path), "--from-km", from_km,
+                 "--to-km", to_km, "--step-km", "1", "--format", fmt,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"qkdcoex: {message}\n"
+    assert not out.exists()
+    scenario = load_scenario(path)
+    sweep = SweepSpec(float(from_km), float(to_km), 1.0)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        run_sweep(scenario, sweep)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        evaluate_at(scenario, float(to_km))
 
 
 def test_max_distance_below_float_resolution_exit_1(tmp_path, capsys):

@@ -16,6 +16,9 @@ search ran from the top down: text and JSON, exit code and stderr, for every
 preset, budget on and off, on ranges whose grid is offset from whole
 kilometres, that end below the cliff, that hold one point, that start past a
 cliff (exit 2), and on 250-260 km, where no preset has a secure distance.
+The preset digests cover `repr(get_preset(name))`; they were recorded while
+each call still built its preset anew, before the presets became shared
+values with read-only maps.
 Anything that changes a digest changes the published results; such a
 change needs its own reason, stated where the digest is updated.
 """
@@ -49,6 +52,18 @@ GOLDEN = {
 }
 
 
+# preset -> sha256 of repr(get_preset(preset))
+PRESET_REPR_GOLDEN = {
+    "smf": "217a1925724a287a84dc14e5568b830ed1c81037d7a13ea75529b8e3c216937d",
+    "lp01in": "c4f00ce1e500b6736d101496e705362ed4c2665cc830509bec10ad372b84f62b",
+    "lp02in": "e3abe0721c68abb0a7ffb04d34fd88a5c7b4e138d908849302c6875d477115bb",
+    "fig4-power": "bf4f420b557a6bc17bd989318330744a5a2db3602cb0c755bc0c2928af77dd99",
+    "fig4-power-fmf":
+        "06493c392a3dad11190a9e329e66feb2734de2ce0232d9377020d43a987b1983",
+    "fig4-full": "fd1f2397cefb9938d419c3a1aebe7bdc83dbef2a2014efeefffd0ec5f683a2e7",
+}
+
+
 def _sha(text) -> str:
     data = text.encode("utf-8") if isinstance(text, str) else text
     return hashlib.sha256(data).hexdigest()
@@ -56,6 +71,12 @@ def _sha(text) -> str:
 
 def test_covers_every_preset():
     assert sorted(GOLDEN) == sorted(preset_names())
+    assert sorted(PRESET_REPR_GOLDEN) == sorted(preset_names())
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_REPR_GOLDEN))
+def test_preset_repr(preset):
+    assert _sha(repr(get_preset(preset))) == PRESET_REPR_GOLDEN[preset]
 
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN))

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from qkdcoex.link import (Band, ComponentSpec, FiberKind, FiberSpec,
                           IsolationTable, LinkPlan, Mode, MultiplexScheme,
                           SchemeName, Side, classical_min_launch_power_dbm,
                           modal_isolation_at, total_loss_db, transmittance)
-from qkdcoex.presets import FMF_MODAL_ISOLATION, get_preset
+from qkdcoex.presets import FMF_MODAL_ISOLATION, get_preset, preset_names
 
 
 def smf_plan(length_km, with_dwdm=True):
@@ -197,6 +198,54 @@ class TestValidation:
         with pytest.raises(ConfigError):
             LinkPlan(fiber=FiberSpec.smf(), length_km=-1.0,
                      scheme=MultiplexScheme.named("smf"))
+
+
+# Every way to write to a dict, as (label, write of `value` at `key`).
+_MAP_WRITES = [
+    ("[]=", lambda m, key, value: operator.setitem(m, key, value)),
+    ("del", lambda m, key, value: operator.delitem(m, key)),
+    ("update", lambda m, key, value: m.update({key: value})),
+    ("pop", lambda m, key, value: m.pop(key)),
+    ("popitem", lambda m, key, value: m.popitem()),
+    ("setdefault", lambda m, key, value: m.setdefault((key, 0), value)),
+    ("clear", lambda m, key, value: m.clear()),
+    ("|=", lambda m, key, value: operator.ior(m, {key: value})),
+]
+
+
+class TestReadOnlyMaps:
+    """A spec keeps a read-only copy of its map, so no write can bypass the
+    (0, 1) dB/km and >= 0 dB checks or change a shared preset."""
+
+    @pytest.mark.parametrize("name", preset_names())
+    @pytest.mark.parametrize("label, write", _MAP_WRITES,
+                             ids=[label for label, _ in _MAP_WRITES])
+    def test_every_write_raises(self, name, label, write):
+        link = get_preset(name).link
+        for spec_map in (link.fiber.attenuation_db_per_km,
+                         link.quantum_path_components[0].insertion_loss_db):
+            before = dict(spec_map)
+            with pytest.raises(TypeError, match="read-only"):
+                write(spec_map, next(iter(spec_map)), -5.0)
+            assert spec_map == before
+
+    def test_caller_dict_changed_after_build(self):
+        attenuation = {(Mode.FUNDAMENTAL, Band.QUANTUM): 0.19,
+                       (Mode.FUNDAMENTAL, Band.CLASSICAL): 0.192}
+        fiber = FiberSpec(FiberKind.SMF, attenuation)
+        losses = {Mode.FUNDAMENTAL: 0.49}
+        mux = ComponentSpec("mux", losses, Side.TRANSMITTER)
+        attenuation[(Mode.FUNDAMENTAL, Band.QUANTUM)] = 5.0
+        losses[Mode.FUNDAMENTAL] = -1.0
+        assert fiber.attenuation(Mode.FUNDAMENTAL, Band.QUANTUM) == 0.19
+        assert mux.loss_for(Mode.FUNDAMENTAL) == 0.49
+
+    def test_repr_and_equality_are_the_dicts(self):
+        losses = {Mode.LP01: 2.6, Mode.LP02: 3.7}
+        spec_map = ComponentSpec("mux", losses, Side.TRANSMITTER).insertion_loss_db
+        assert spec_map == losses and repr(spec_map) == repr(losses)
+        assert hash(spec_map) == hash(ComponentSpec(
+            "mux", dict(losses), Side.TRANSMITTER).insertion_loss_db)
 
 
 def test_preset_modes():

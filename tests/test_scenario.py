@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import sys
 import tempfile
 from dataclasses import replace
@@ -37,6 +40,18 @@ EXPECTED_HEADER = ("distance_km,launch_power_dbm,quantum_loss_db,"
                    "e1_upper,key_rate_bps,classical_feasible")
 
 
+def _rebuild(value):
+    """An equal value built anew through every constructor, maps included."""
+    if dataclasses.is_dataclass(value):
+        return type(value)(**{f.name: _rebuild(getattr(value, f.name))
+                              for f in dataclasses.fields(value)})
+    if isinstance(value, dict):
+        return {key: _rebuild(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_rebuild, value))
+    return value
+
+
 class TestPresets:
     def test_names(self):
         assert preset_names() == ("smf", "lp01in", "lp02in", "fig4-power",
@@ -45,6 +60,43 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             get_preset("smg")
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_shared_instance(self, name):
+        assert get_preset(name) is get_preset(name)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_hash_of_a_fresh_build(self, name):
+        preset = get_preset(name)
+        fresh = _rebuild(preset)
+        assert fresh is not preset
+        assert (fresh.link.fiber.attenuation_db_per_km
+                is not preset.link.fiber.attenuation_db_per_km)
+        assert fresh == preset and repr(fresh) == repr(preset)
+        assert hash(fresh) == hash(preset)
+
+    @pytest.mark.parametrize("name", preset_names())
+    @pytest.mark.parametrize("round_trip", [
+        copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))])
+    def test_round_trip(self, name, round_trip):
+        preset = get_preset(name)
+        twin = round_trip(preset)
+        assert twin == preset and hash(twin) == hash(preset)
+        assert repr(twin) == repr(preset)
+        with pytest.raises(TypeError):
+            twin.link.fiber.attenuation_db_per_km.clear()
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_replace_leaves_the_preset_unchanged(self, name):
+        preset = get_preset(name)
+        before = repr(preset)
+        fiber = FiberSpec(preset.link.fiber.kind, {
+            key: 0.5 for key in preset.link.fiber.attenuation_db_per_km})
+        variant = replace(preset, name="variant", adaptive_power=True,
+                          link=replace(preset.link, fiber=fiber))
+        assert variant.link.fiber.attenuation_db_per_km != (
+            preset.link.fiber.attenuation_db_per_km)
+        assert get_preset(name) is preset and repr(preset) == before
 
     def test_lp02in_parameters(self):
         s = get_preset("lp02in")
