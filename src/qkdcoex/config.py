@@ -215,6 +215,7 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
 def _sweep_from(sections: dict[str, _Section]) -> SweepSpec | None:
     sweep = sections["sweep"]
     if not (sweep.has("from_km") or sweep.has("to_km") or sweep.has("step_km")):
+        sweep.check_consumed()
         return None
     spec = SweepSpec(
         from_km=sweep.get_float("from_km", required=True),

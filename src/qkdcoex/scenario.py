@@ -65,6 +65,9 @@ class Scenario:
 
     def __post_init__(self):
         _require_finite("scenario", **vars(self))
+        if not isinstance(self.raman_alpha_basis, Band):
+            raise ConfigError(f"Raman alpha basis must be a Band, got "
+                              f"{self.raman_alpha_basis!r}")
         if self.noise_divisor not in ("clock", "gate"):
             raise ConfigError(
                 f"noise divisor must be 'clock' or 'gate', got "
@@ -147,7 +150,9 @@ def _resolve(scenario: Scenario):
     step calls the statement its public function calls (`link._loss_db`,
     `link._transmittance`, `raman._srs_rate`, `decoy._y0_step`), so every
     value has their bits. Only the power floor, loss + sensitivity, is
-    written here as in `classical_min_launch_power_dbm`."""
+    written here as in `classical_min_launch_power_dbm`. A quantum loss or
+    floor that is not finite raises DomainError; the other fields are then
+    finite (the mW and SRS steps raise, y0 is clamped, eta <= efficiency)."""
     alpha_q, il_q = _path(scenario.link, Band.QUANTUM)
     alpha_c, il_c = _path(scenario.link, Band.CLASSICAL)
     alpha_r = alpha_q if scenario.raman_alpha_basis is Band.QUANTUM else alpha_c
@@ -160,6 +165,7 @@ def _resolve(scenario: Scenario):
                else protocol.clock_hz)
     y0_of = _y0_step(_dark_yield(detector, protocol.clock_hz), divisor)
     efficiency = detector.efficiency
+    inf = math.inf
 
     def channel(d: float) -> tuple:
         if not d >= 0.0:
@@ -167,6 +173,8 @@ def _resolve(scenario: Scenario):
         quantum_loss = _loss_db(alpha_q, il_q, d)
         classical_loss = _loss_db(alpha_c, il_c, d)
         needed = classical_loss + sensitivity
+        if not quantum_loss < inf > needed:
+            raise DomainError(f"link budget overflows a float at {d} km")
         launch = min(needed, cap) if adaptive else cap
         srs = _srs_rate(dbm_to_mw(launch), rho, d, alpha_r)
         # quantum_loss >= 0 for d >= 0: the check of `transmittance` holds
@@ -195,34 +203,21 @@ def channel_state(scenario: Scenario, distance_km: float) -> ChannelState:
     """Evaluate the link budget and background yield at one distance. A
     loss or power floor that overflows a float raises DomainError."""
     channel, _ = _resolve(scenario)
-    state = channel(distance_km)
-    if not all(map(math.isfinite, state[:-1])):
-        raise DomainError(f"link budget overflows a float at {distance_km} km")
-    return ChannelState(distance_km, *state)
-
-
-def _finite_losses(point: tuple) -> tuple:
-    """`point`, once its two losses are checked: a loss that overflows a
-    float raises DomainError, as in `channel_state`."""
-    if not (math.isfinite(point[2]) and math.isfinite(point[3])):
-        raise DomainError(f"link budget overflows a float at {point[0]} km")
-    return point
+    return ChannelState(distance_km, *channel(distance_km))
 
 
 def evaluate_at(scenario: Scenario, distance_km: float) -> ResultRow:
     """One full sweep point: link budget, noise, decoy bounds, key rate. A
-    loss that overflows a float raises DomainError."""
-    return ResultRow(*_finite_losses(_point(*_resolve(scenario), distance_km)))
+    loss or power floor that overflows a float raises DomainError."""
+    return ResultRow(*_point(*_resolve(scenario), distance_km))
 
 
 def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[tuple]:
     """One `_point` tuple per grid point, in ascending distance. The
     package's own errors pass through with their exit code; any other
-    exception becomes a `ComputationError` naming the distance.
-
-    A loss that overflows a float raises DomainError. Neither loss decreases
-    with distance on the ascending grid (see `max_secure_distance`), so only
-    the last row is checked."""
+    exception becomes a `ComputationError` naming the distance. The first
+    grid point whose loss or power floor overflows a float raises
+    DomainError."""
     distances = sweep.distances()
     # A scenario that fails to resolve is reported at the first point.
     table, d = [], distances[0]
@@ -236,7 +231,6 @@ def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[tuple]:
         raise ComputationError(
             f"sweep of {scenario.name!r} failed at {d} km: {exc}"
         ) from exc
-    _finite_losses(table[-1])
     return table
 
 
@@ -379,7 +373,8 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
     needs, never decrease with d, while the launch power in use is the fixed
     cap or min(needed, cap), so `launch + tol >= needed` can only turn false
     once. No grid point at or above the first infeasible one reaches the key
-    rate, and an error from a channel the search does evaluate propagates.
+    rate, and an error from a channel the search does evaluate propagates,
+    such as the DomainError of a loss or power floor that overflows a float.
     """
     if from_km < 0.0:
         raise ConfigError(f"link length must be >= 0 km, got {from_km}")

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdcoex import scenario as scenario_mod
 from qkdcoex.cli import build_parser, main
 from qkdcoex.config import load_scenario
 from qkdcoex.errors import DomainError
-from qkdcoex.scenario import SweepSpec, evaluate_at, run_sweep
+from qkdcoex.scenario import (CalibrationTarget, SweepSpec, calibrate,
+                              channel_state, evaluate_at, max_secure_distance,
+                              run_sweep)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "qkdbench"))
 import inputs  # noqa: E402
@@ -140,11 +143,12 @@ _OVERFLOWING_LINKS = {
 @pytest.mark.parametrize("case", sorted(_OVERFLOWING_LINKS))
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_overflowing_loss_exit_1(case, fmt, tmp_path, capsys):
-    # An infinite loss is an error, not an `inf` or `Infinity` row.
+    # An infinite loss is an error, not an `inf` or `Infinity` row. The
+    # sweep stops at its first grid point, where the loss already overflows.
     ini, from_km, to_km = _OVERFLOWING_LINKS[case]
     path, out = tmp_path / "lossy.ini", tmp_path / "rows.out"
     path.write_text(ini, encoding="utf-8")
-    message = f"link budget overflows a float at {float(to_km)} km"
+    message = f"link budget overflows a float at {float(from_km)} km"
     assert main(["sweep", "--scenario", str(path), "--from-km", from_km,
                  "--to-km", to_km, "--step-km", "1", "--format", fmt,
                  "--out", str(out)]) == 1
@@ -154,8 +158,57 @@ def test_sweep_overflowing_loss_exit_1(case, fmt, tmp_path, capsys):
     sweep = SweepSpec(float(from_km), float(to_km), 1.0)
     with pytest.raises(DomainError, match=re.escape(message)):
         run_sweep(scenario, sweep)
-    with pytest.raises(DomainError, match=re.escape(message)):
+    with pytest.raises(DomainError, match=re.escape(
+            f"link budget overflows a float at {float(to_km)} km")):
         evaluate_at(scenario, float(to_km))
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_LINKS))
+@pytest.mark.parametrize("budget", [[], ["--ignore-classical-budget"]])
+def test_max_distance_overflowing_loss_exit_1(case, budget, tmp_path, capsys):
+    # The search fails at the first overflowing distance it evaluates, as a
+    # sweep does, not with "key rate is non-positive" (exit 2).
+    ini, from_km, to_km = _OVERFLOWING_LINKS[case]
+    path = tmp_path / "lossy.ini"
+    path.write_text(ini, encoding="utf-8")
+    assert main(["max-distance", "--scenario", str(path), "--from-km",
+                 from_km, "--to-km", to_km, *budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"qkdcoex: link budget overflows a float at \S+ km\n",
+                        captured.err)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: max_secure_distance(s),
+    lambda s: max_secure_distance(s, require_classical_feasible=False),
+    lambda s: evaluate_at(s, 10.0),
+    lambda s: channel_state(s, 10.0),
+    lambda s: run_sweep(s, SweepSpec(0.0, 10.0, 1.0)),
+    lambda s: calibrate([s], [CalibrationTarget(10.0, 1.0, 0.01)])])
+def test_overflowing_loss_is_one_domain_error(call, tmp_path):
+    path = tmp_path / "lossy.ini"
+    path.write_text(_OVERFLOWING_LINKS["insertion-loss"][0], encoding="utf-8")
+    with pytest.raises(DomainError,
+                       match=r"^link budget overflows a float at \S+ km$"):
+        call(load_scenario(path))
+
+
+def test_overflow_checked_in_the_channel_only():
+    assert not hasattr(scenario_mod, "_finite_losses")
+
+
+def test_misspelled_sweep_key_exit_1(tmp_path, capsys):
+    # A [sweep] section with none of its keys spelled right is an error,
+    # not a file without a sweep (the default grid, exit 0).
+    path = tmp_path / "typo.ini"
+    path.write_text(SCENARIO_INI.replace("to_km = 5", "to_kms = 5").replace(
+        "from_km = 0\n", "").replace("step_km = 1\n", ""), encoding="utf-8")
+    for verb in ("sweep", "max-distance"):
+        assert main([verb, "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qkdcoex: [sweep] unknown key(s): to_kms\n"
 
 
 def test_max_distance_below_float_resolution_exit_1(tmp_path, capsys):

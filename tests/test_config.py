@@ -134,3 +134,13 @@ def test_one_optional_key_changes_only_its_field(section, key, raw, target,
     else:
         expected = replace(base, **{target: value})
     assert repr(scenario) == repr(expected)
+
+
+def test_misspelled_sweep_section_rejected(tmp_path):
+    # Only misspelled keys: no sweep key is read, yet none may pass unseen.
+    path = tmp_path / "s.ini"
+    path.write_text(MANDATORY["smf"] + "\n[sweep]\nto_kms = 5\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=re.escape("[sweep] unknown key(s): to_kms")):
+        config.load_sweep(path)

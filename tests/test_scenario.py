@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -164,6 +165,28 @@ class TestLaunchPower:
         s = replace(get_preset("smf"), classical_launch_power_dbm=4000.0)
         with pytest.raises(DomainError, match="4000.0 dBm"):
             call(s)
+
+    # At 1e308 km the quantum loss (0.19e308 dB) is finite but the power
+    # floor, 0.192e308 dB + 1.7e308 dBm, is not.
+    @pytest.mark.parametrize("call", (
+        lambda s: evaluate_at(s, 1e308),
+        lambda s: channel_state(s, 1e308),
+        lambda s: run_sweep(s, SweepSpec(1e308, 1e308, 1.0)),
+        lambda s: max_secure_distance(s, 1e308, 1e308,
+                                      require_classical_feasible=False)))
+    def test_overflowing_power_floor_is_domain_error(self, call):
+        s = replace(get_preset("smf"), receiver_sensitivity_dbm=1.7e308)
+        with pytest.raises(DomainError, match=re.escape(
+                "link budget overflows a float at 1e+308 km")):
+            call(s)
+
+
+@pytest.mark.parametrize("basis", ["quantum", None])
+def test_raman_alpha_basis_must_be_a_band(basis):
+    # `_resolve` picks the Raman attenuation by identity with Band.QUANTUM,
+    # so any other value would silently mean the classical one.
+    with pytest.raises(ConfigError, match="Raman alpha basis must be a Band"):
+        replace(get_preset("lp01in"), raman_alpha_basis=basis)
 
 
 class TestSweep:
