@@ -17,8 +17,11 @@ diagnostics, because the decoy bounds go negative in degenerate regimes.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate, repeat, takewhile
 from typing import Callable
 
 from .errors import (ConfigError, DomainError, NoSecureDistanceError,
@@ -394,14 +397,22 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
         raise DomainError(f"coarse grid over [{from_km}, {to_km}] km at "
                           f"{coarse_step_km} km exceeds {_MAX_GRID_POINTS} points")
 
-    grid = [from_km]
-    d = from_km
-    while d < to_km:
-        d = min(d + coarse_step_km, to_km)
+    # The grid is from_km, each running sum of the step below to_km, and
+    # min(the next sum, to_km). A sum that the step does not advance stalls
+    # forever; any other advance rounds to at least half the step, so
+    # 2 * span + 4 sums always reach to_km or stall.
+    span = int((to_km - from_km) / coarse_step_km)
+    grid = list(takewhile(partial(operator.gt, to_km),
+                          accumulate(repeat(coarse_step_km, 2 * span + 4),
+                                     initial=from_km)))
+    if grid:
+        d = grid[-1] + coarse_step_km
         if d == grid[-1]:
             raise DomainError(f"coarse step {coarse_step_km} km is below the "
                               f"float resolution at {d} km")
-        grid.append(d)
+        grid.append(min(d, to_km))
+    else:
+        grid = [from_km]
 
     top = len(grid)
     if feasible_fn is not None:

@@ -15,7 +15,9 @@ import importlib
 import json
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -65,6 +67,9 @@ class Scenario:
 
     def __post_init__(self):
         _require_finite("scenario", **vars(self))
+        if not isinstance(self.adaptive_power, bool):
+            raise ConfigError(f"adaptive power must be a bool, got "
+                              f"{self.adaptive_power!r}")
         if not isinstance(self.raman_alpha_basis, Band):
             raise ConfigError(f"Raman alpha basis must be a Band, got "
                               f"{self.raman_alpha_basis!r}")
@@ -212,19 +217,22 @@ def evaluate_at(scenario: Scenario, distance_km: float) -> ResultRow:
     return ResultRow(*_point(*_resolve(scenario), distance_km))
 
 
-def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[tuple]:
-    """One `_point` tuple per grid point, in ascending distance. The
-    package's own errors pass through with their exit code; any other
-    exception becomes a `ComputationError` naming the distance. The first
-    grid point whose loss or power floor overflows a float raises
-    DomainError."""
+def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[list]:
+    """The `_point` tuples of the grid, in ascending distance, as a table
+    of `_columns` chunks. The package's own errors pass through with their
+    exit code; any other exception becomes a `ComputationError` naming the
+    distance. The first grid point whose loss or power floor overflows a
+    float raises DomainError."""
     distances = sweep.distances()
     # A scenario that fails to resolve is reported at the first point.
     table, d = [], distances[0]
     try:
         channel, key = _resolve(scenario)
-        for d in distances:
-            table.append(_point(channel, key, d))
+        for start in range(0, len(distances), _CHUNK_ROWS):
+            rows = []
+            for d in distances[start:start + _CHUNK_ROWS]:
+                rows.append(_point(channel, key, d))
+            table.append(_columns(rows))
     except QkdCoexError:
         raise
     except Exception as exc:
@@ -236,18 +244,20 @@ def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[tuple]:
 
 def run_sweep(scenario: Scenario, sweep: SweepSpec) -> list[ResultRow]:
     """Evaluate the scenario on the sweep grid, in ascending distance."""
-    return [ResultRow(*t) for t in _sweep_table(scenario, sweep)]
+    return [ResultRow(*row) for chunk in _sweep_table(scenario, sweep)
+            for row in zip(*chunk)]
 
 
 # ---------------------------------------------------------------------------
 # result emission
 #
-# A table is a list of `_point` tuples. It is written a chunk of rows at a
-# time, each chunk formatted one column at a time, so the output is not held
-# as one string; the exception is the JSON of a table holding a NaN, an
-# infinity or a numpy scalar, which json writes in one piece. The bytes are
-# those of `np.format_float_scientific(v, unique=True)` per CSV value and of
-# `json.dumps(payload, indent=2) + "\n"`.
+# A table is a list of chunks of up to `_CHUNK_ROWS` rows, each chunk the
+# list of its columns in `RESULT_FIELDS` order (`_columns`). It is written a
+# chunk at a time, each chunk formatted one column at a time, so the output
+# is not held as one string; the exception is the JSON of a table holding a
+# NaN, an infinity or a numpy scalar, which json writes in one piece. The
+# bytes are those of `np.format_float_scientific(v, unique=True)` per CSV
+# value and of `json.dumps(payload, indent=2) + "\n"`.
 
 @functools.cache
 def _scientific():
@@ -263,7 +273,9 @@ def _scientific():
     return np.format_float_scientific
 
 
-_CHUNK_ROWS = 4096
+# Rows per chunk: a chunk's rows, and the strings formatted from it, are
+# the only per-row objects alive at once.
+_CHUNK_ROWS = 256
 _CSV_HEADER = ",".join(RESULT_FIELDS) + "\n"
 _CSV_ROW = ",".join(["%s"] * len(RESULT_FIELDS)) + "\n"
 # What json.dumps(indent=2) writes for one row: repr for each number, as
@@ -272,38 +284,47 @@ _JSON_ROW = "  {\n%s\n  }" % ",\n".join(
     [f'    "{f}": %r' for f in RESULT_FIELDS[:-1]]
     + [f'    "{RESULT_FIELDS[-1]}": %s'])
 _PLAIN = {float, int}
+_FLOAT = {float}
 _BOOL = {True: "true", False: "false"}
 
 
-def _csv_chunks(table: list[tuple]):
+def _columns(rows) -> list:
+    """The columns of a chunk of row tuples. A column of floats only is an
+    `array('d')`, which holds and returns the same 64-bit values (-0.0 and
+    NaN included) unboxed; any other column stays a tuple of its values, so
+    an int, bool or numpy scalar keeps its type."""
+    return [array("d", col) if set(map(type, col)) == _FLOAT else col
+            for col in zip(*rows)]
+
+
+def _csv_chunks(table: list[list]):
     scientific = _scientific()
     yield _CSV_HEADER
-    for start in range(0, len(table), _CHUNK_ROWS):
-        *numbers, feasible = zip(*table[start:start + _CHUNK_ROWS])
+    for *numbers, feasible in table:
         columns = [[scientific(v, unique=True) for v in col]
                    for col in numbers]
         columns.append([_BOOL[f] for f in feasible])
         yield "".join(map(_CSV_ROW.__mod__, zip(*columns)))
 
 
-def _json_chunks(table: list[tuple]):
-    columns = list(zip(*table))
+def _json_chunks(table: list[list]):
     if not table or not all(set(map(type, col)) <= _PLAIN
                             and all(map(math.isfinite, col))
-                            for col in columns[:-1]):
+                            for chunk in table for col in chunk[:-1]):
         # [], NaN, infinities and numpy scalars as json writes them.
-        payload = [dict(zip(RESULT_FIELDS, row)) for row in table]
+        payload = [dict(zip(RESULT_FIELDS, row))
+                   for chunk in table for row in zip(*chunk)]
         yield json.dumps(payload, indent=2) + "\n"
         return
-    for start in range(0, len(table), _CHUNK_ROWS):
-        *numbers, feasible = zip(*table[start:start + _CHUNK_ROWS])
+    opening = "[\n"
+    for *numbers, feasible in table:
         rows = zip(*numbers, [_BOOL[f] for f in feasible])
-        yield (("[\n" if start == 0 else ",\n")
-               + ",\n".join(map(_JSON_ROW.__mod__, rows)))
+        yield opening + ",\n".join(map(_JSON_ROW.__mod__, rows))
+        opening = ",\n"
     yield "\n]\n"
 
 
-def _chunks(table: list[tuple], format: str):
+def _chunks(table: list[list], format: str):
     """The text of `table` in `format`, as successive pieces."""
     if format == "csv":
         return _csv_chunks(table)
@@ -327,8 +348,12 @@ def _write(chunks, path: str | Path) -> None:
         raise ComputationError(f"cannot write results to {path}: {exc}") from exc
 
 
-def _table(rows: Sequence[ResultRow]) -> list[tuple]:
-    return list(map(operator.attrgetter(*RESULT_FIELDS), rows))
+def _table(rows: Sequence[ResultRow]) -> list[list]:
+    """`rows` as a table of `_columns` chunks, as `_sweep_table` builds."""
+    rows, table = map(operator.attrgetter(*RESULT_FIELDS), rows), []
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        table.append(_columns(chunk))
+    return table
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:

@@ -354,6 +354,40 @@ def _bottom_up_cliff(rate_fn, from_km, to_km, coarse_step_km=1.0,
     return DistanceResult(lo, at_upper_boundary=False)
 
 
+# Search ranges for the coarse grid: ordinary ones, ones where the step is
+# near the float resolution (it stalls, or rounds to a shorter or longer
+# step), and integer ones.
+_grid_ranges = st.one_of(
+    st.tuples(st.floats(-50.0, 400.0), st.floats(0.0, 300.0),
+              st.floats(0.01, 40.0)),
+    st.tuples(st.sampled_from([1e15, 2.0**52, 2.0**53 - 64.0, 1e16, 1e17]),
+              st.floats(0.0, 64.0), st.floats(0.1, 4.0)),
+    st.tuples(st.integers(0, 300), st.integers(0, 300), st.integers(1, 40)),
+)
+
+
+@given(case=_grid_ranges)
+@example(case=(2.0**53 - 64.0, 64.0, 1.25))   # each step rounds to 1.0
+@example(case=(1e16, 16.0, 1.0))              # the first step stalls
+@example(case=(0, 300, 1.0))                  # float sums, an int end
+def test_coarse_grid_matches_stepping_loop(case):
+    # With a zero rate the scan evaluates the whole grid, top down.
+    from_km, length, step = case
+    to_km = from_km + length
+    try:
+        expected = [(type(d), repr(d))
+                    for d in _coarse_grid(from_km, to_km, step)]
+    except DomainError as exc:
+        expected = str(exc)
+    calls = []
+    with pytest.raises((DomainError, NoSecureDistanceError)) as info:
+        find_rate_cliff(lambda d: calls.append(d) or 0.0, from_km, to_km, step)
+    if isinstance(expected, str):
+        assert (calls, str(info.value)) == ([], expected)
+    else:
+        assert [(type(d), repr(d)) for d in calls[::-1]] == expected
+
+
 _RATES = (1.0, 0.0, -1.0, math.nan, 5e-324, 2.5e4)
 
 

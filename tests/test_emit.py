@@ -8,6 +8,9 @@ through `np.format_float_scientific(v, unique=True)` for CSV, and
 
 import json
 import os
+import tracemalloc
+from array import array
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +21,8 @@ from qkdcoex import scenario
 from qkdcoex.cli import main
 from qkdcoex.errors import ComputationError, ConfigError
 from qkdcoex.scenario import (RESULT_FIELDS, ResultRow, SweepSpec,
-                              emit_results, rows_to_csv, rows_to_json,
+                              _chunks, _sweep_table, emit_results,
+                              evaluate_at, rows_to_csv, rows_to_json,
                               run_sweep)
 from qkdcoex.presets import get_preset
 
@@ -80,6 +84,62 @@ def test_integer_distance_grid_matches_oracle(preset):
     assert type(rows[0].distance_km) is int
     assert rows_to_csv(rows) == oracle_csv(rows)
     assert rows_to_json(rows) == oracle_json(rows)
+
+
+@pytest.mark.parametrize("preset", ["smf", "fig4-full"])
+def test_integer_launch_cap_matches_oracle(preset):
+    # fig4-full is adaptive: its launch column mixes float floors and the
+    # int cap, so it stays a tuple of both.
+    scen = replace(get_preset(preset), classical_launch_power_dbm=-3)
+    rows = run_sweep(scen, SweepSpec(0, 300, 7))
+    assert type(rows[0].distance_km) is int
+    assert int in {type(row.launch_power_dbm) for row in rows}
+    assert rows_to_csv(rows) == oracle_csv(rows)
+    assert rows_to_json(rows) == oracle_json(rows)
+
+
+def test_float_columns_are_unboxed():
+    table = _sweep_table(get_preset("fig4-full"), SweepSpec(0.0, 300.0, 1.0))
+    for *numbers, feasible in table:
+        assert all(type(col) is array and col.typecode == "d"
+                   for col in numbers)
+        assert type(feasible) is tuple
+    int_grid = _sweep_table(get_preset("smf"), SweepSpec(0, 300, 7))
+    assert [type(col) for col in int_grid[0]] == [tuple] + [array] * 10 + [tuple]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_sweep_chunks_match_row_oracle(chunk):
+    scen, sweep = get_preset("fig4-full"), SweepSpec(0.0, 300.0, 1.0)
+    rows = [evaluate_at(scen, d) for d in sweep.distances()]
+    with mock.patch.object(scenario, "_CHUNK_ROWS", chunk):
+        table = _sweep_table(scen, sweep)
+        assert "".join(_chunks(table, "csv")) == oracle_csv(rows)
+        assert "".join(_chunks(table, "json")) == oracle_json(rows)
+
+
+def test_dense_sweep_memory():
+    # The paper's dense Fig. 4 sweep, 30,001 rows: the table holds its floats
+    # unboxed, about 90 B a row, and writing it holds one chunk's strings.
+    scenario._scientific()   # numpy is imported before tracing
+    scen, sweep = get_preset("fig4-full"), SweepSpec(0.0, 300.0, 0.01)
+    tracemalloc.start()
+    try:
+        table = _sweep_table(scen, sweep)
+        held = tracemalloc.get_traced_memory()[0]
+        emitted, lines = {}, 0
+        for fmt in ("csv", "json"):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for piece in _chunks(table, fmt):
+                if fmt == "csv":
+                    lines += piece.count("\n")
+            emitted[fmt] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert lines == 30_002
+    assert held <= 4e6
+    assert emitted["csv"] <= 1e6 and emitted["json"] <= 1e6
 
 
 @given(value=st.one_of(st.sampled_from(CORPUS),

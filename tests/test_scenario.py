@@ -189,6 +189,13 @@ def test_raman_alpha_basis_must_be_a_band(basis):
         replace(get_preset("lp01in"), raman_alpha_basis=basis)
 
 
+@pytest.mark.parametrize("adaptive", ["no", 1, None])
+def test_adaptive_power_must_be_a_bool(adaptive):
+    # `_resolve` reads the flag by truthiness, so "no" would mean adaptive.
+    with pytest.raises(ConfigError, match="adaptive power must be a bool"):
+        replace(get_preset("smf"), adaptive_power=adaptive)
+
+
 class TestSweep:
     def test_grid_size(self):
         for spec, size in ((SweepSpec(0.0, 100.0, 1.0), 101),
