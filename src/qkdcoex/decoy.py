@@ -205,11 +205,13 @@ def _decoy_chain(mu: float, nu: float):
     nu^2, mu^2 and the two quotients that hold nothing but mu and nu) are
     computed once.
 
-    These are the package's only inline copies of public formulas, each
-    pinned bit for bit by `TestBoundKernel`. A call per step costs too much:
-    on the `search` benchmark, sharing every formula of the chain raised
-    `calibrate_ms` by 18.2% and `max_distance_ms` by 11.2%, and sharing
-    just the two bounds still raised `calibrate_ms` by 9.7%.
+    These inline copies of public formulas, and those of `_decoy_split`,
+    are pinned bit for bit by `TestBoundKernel`. A call per step costs too
+    much: on the `search` benchmark, sharing every formula of the chain
+    raised `calibrate_ms` by 18.2% and `max_distance_ms` by 11.2%, and
+    sharing just the two bounds still raised `calibrate_ms` by 9.7%. The
+    chain also stays one call per point: through `_decoy_split` a point
+    took 1.7 against 1.1 us (Python 3.11, shared 2-CPU host).
     """
     e_mu, e_nu, e_neg_mu = math.exp(mu), math.exp(nu), math.exp(-mu)
     nu2, mu2 = nu * nu, mu * mu
@@ -249,6 +251,57 @@ def _decoy_chain(mu: float, nu: float):
         return (qmu, emu, qnu, enu, y1, e1, clamps,
                 (-qmu, h_emu, y1 * mu * e_neg_mu * (1.0 - h_e1)))
     return chain
+
+
+def _decoy_split(mu: float, nu: float):
+    """`_decoy_chain` split by what each value depends on, for a
+    calibration, where each target's (eta, y0) is fixed and only e_d moves.
+
+    `split(eta, y0)` returns `(emu_of, terms_of)`: `emu_of(ed)` is the
+    chain's Emu and `terms_of(ed, emu_of(ed))` its `terms`; `terms_of` is
+    None when the chain's `terms` is None (a vanished yield bound). `split`
+    computes what depends on (eta, y0) alone: both signal terms, both
+    gains, the clamped Y1L, E0*Y0, Y1L*nu and Y1L*mu*e^-mu. Each is a
+    left-to-right prefix of the chain's expression, so every value has the
+    chain's bits.
+    """
+    e_mu, e_nu, e_neg_mu = math.exp(mu), math.exp(nu), math.exp(-mu)
+    nu2, mu2 = nu * nu, mu * mu
+    scale = mu / (mu * nu - nu2)
+    vacuum = (mu2 - nu2) / mu2
+    log2 = math.log2
+
+    def split(eta, y0):
+        signal_mu = -math.expm1(-eta * mu)
+        qmu = y0 + signal_mu
+        signal_nu = -math.expm1(-eta * nu)
+        qnu = y0 + signal_nu
+        e0_y0 = _E0 * y0
+
+        def emu_of(ed):
+            return (e0_y0 + ed * signal_mu) / qmu if qmu > 0.0 else _E0
+
+        y1 = scale * (qnu * e_nu - qmu * e_mu * nu2 / mu2 - vacuum * y0)
+        if y1 <= 0.0:
+            return emu_of, None
+        if y1 > 1.0:
+            y1 = 1.0
+        y1_nu, single = y1 * nu, y1 * mu * e_neg_mu
+
+        def terms_of(ed, emu):
+            enu = (e0_y0 + ed * signal_nu) / qnu if qnu > 0.0 else _E0
+            e1 = (enu * qnu * e_nu - e0_y0) / y1_nu
+            if e1 < 0.0:
+                e1 = 0.0
+            elif e1 > 0.5:
+                e1 = 0.5
+            h_emu = (0.0 if emu <= 0.0 or emu >= 1.0 else
+                     -emu * log2(emu) - (1.0 - emu) * log2(1.0 - emu))
+            h_e1 = (0.0 if e1 <= 0.0 or e1 >= 1.0 else
+                    -e1 * log2(e1) - (1.0 - e1) * log2(1.0 - e1))
+            return -qmu, h_emu, single * (1.0 - h_e1)
+        return emu_of, terms_of
+    return split
 
 
 def _rate_per_pulse(terms: tuple, f_ec: float, q_sift: float) -> float:

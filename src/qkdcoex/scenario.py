@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     DetectorSpec, DistanceResult, ProtocolParams, _dark_yield,
-                    _decoy_chain, _kernel, _rate_per_pulse, _y0_step,
+                    _decoy_split, _kernel, _rate_per_pulse, _y0_step,
                     dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
                      DomainError, QkdCoexError, _require_finite)
@@ -107,9 +107,13 @@ class SweepSpec:
         return (self.to_km - self.from_km) / self.step_km + 1e-9
 
     def distances(self) -> list[float]:
+        return list(self._grid())
+
+    def _grid(self):
+        """The grid points, min(from + i * step, to), one at a time."""
         n = int(math.floor(self._span())) + 1
-        return [min(self.from_km + i * self.step_km, self.to_km)
-                for i in range(n)]
+        return (min(self.from_km + i * self.step_km, self.to_km)
+                for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -222,17 +226,20 @@ def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[list]:
     of `_columns` chunks. The package's own errors pass through with their
     exit code; any other exception becomes a `ComputationError` naming the
     distance. The first grid point whose loss or power floor overflows a
-    float raises DomainError."""
-    distances = sweep.distances()
+    float raises DomainError. The distances are generated a chunk at a
+    time, so only one chunk's are held."""
+    grid = sweep._grid()
+    chunk = list(islice(grid, _CHUNK_ROWS))
     # A scenario that fails to resolve is reported at the first point.
-    table, d = [], distances[0]
+    table, d = [], chunk[0]
     try:
         channel, key = _resolve(scenario)
-        for start in range(0, len(distances), _CHUNK_ROWS):
+        while chunk:
             rows = []
-            for d in distances[start:start + _CHUNK_ROWS]:
+            for d in chunk:
                 rows.append(_point(channel, key, d))
             table.append(_columns(rows))
+            chunk = list(islice(grid, _CHUNK_ROWS))
     except QkdCoexError:
         raise
     except Exception as exc:
@@ -308,7 +315,8 @@ def _csv_chunks(table: list[list]):
 
 
 def _json_chunks(table: list[list]):
-    if not table or not all(set(map(type, col)) <= _PLAIN
+    if not table or not all((type(col) is array
+                             or set(map(type, col)) <= _PLAIN)
                             and all(map(math.isfinite, col))
                             for chunk in table for col in chunk[:-1]):
         # [], NaN, infinities and numpy scalars as json writes them.
@@ -512,66 +520,85 @@ def _golden_min(fn, lo: float, hi: float) -> float:
 
 def _calibration_points(scenarios: Sequence[Scenario],
                         targets: Sequence[CalibrationTarget]) -> list[tuple]:
-    """Per target, resolved once: its bound kernel; its bound decoy chain
-    and the channel point (eta, y0) it is evaluated at; its rate constants
-    q_sift, clock_hz and p_mu; the log of its target rate; and its target
-    QBER."""
+    """Per target, resolved once: its bound kernel and the channel point
+    (eta, y0) it is evaluated at; the `emu_of` and `terms_of` of its
+    `_decoy_split`, which computes the decoy values that depend on (eta,
+    y0) alone here, once per calibration; its rate constants q_sift,
+    clock_hz and p_mu; the log of its target rate; and its target QBER."""
     points = []
     for scen, tgt in zip(scenarios, targets):
         channel, key = _resolve(scen)
         _, _, _, _, _, y0, eta, _ = channel(tgt.distance_km)
         intensities, protocol = scen.intensities, scen.protocol
-        points.append((key, _decoy_chain(intensities.mu, intensities.nu),
-                       (eta, y0), protocol.sifting_factor, protocol.clock_hz,
+        points.append((key, (eta, y0),
+                       *_decoy_split(intensities.mu, intensities.nu)(eta, y0),
+                       protocol.sifting_factor, protocol.clock_hz,
                        intensities.p_mu, math.log(tgt.key_rate_bps), tgt.qber))
     return points
 
 
+def _lower_bound(points: list[tuple], ed: float) -> float:
+    """The QBER terms at `ed` summed in target order from 0.0, which is <=
+    every cell of the row at `ed`; inf when a yield bound vanishes. It needs
+    each target's Emu only."""
+    total = 0.0
+    for _, _, emu_of, terms_of, _, _, _, _, qber in points:
+        if terms_of is None:
+            return math.inf
+        total += ((emu_of(ed) - qber) / 0.005) ** 2
+    return total
+
+
+def _row_terms(points: list[tuple], ed: float) -> list[tuple] | None:
+    """What a cell of the row at `ed` needs of each target: its `terms`,
+    rate constants, log target rate and QBER term. None when a yield bound
+    vanishes: the rate is then zero at every f."""
+    row = []
+    for _, _, emu_of, terms_of, q_sift, clock_hz, p_mu, log_rate, qber in points:
+        if terms_of is None:
+            return None
+        emu = emu_of(ed)
+        row.append((terms_of(ed, emu), q_sift, clock_hz, p_mu, log_rate,
+                    ((emu - qber) / 0.005) ** 2))
+    return row
+
+
+def _cell(row: list[tuple] | None, f: float,
+          bound: float = math.inf) -> float:
+    """The objective at f on a `_row_terms` row: the f tails of its targets
+    added in order, inf at the first zero rate. Each target adds a term >=
+    0, and rounded float addition is monotone in each argument, so the
+    running total never decreases; the cell stops once it reaches `bound`.
+    A cell below `bound` keeps its bits, and any other returns a value >=
+    `bound`."""
+    if row is None:
+        return math.inf
+    total = 0.0
+    for terms, q_sift, clock_hz, p_mu, log_rate, qber_term in row:
+        rate = _rate_per_pulse(terms, f, q_sift) * clock_hz * p_mu
+        if rate <= 0.0:
+            return math.inf
+        total += (math.log(rate) - log_rate) ** 2 + qber_term
+        if total >= bound:
+            break
+    return total
+
+
 def _objective_row(points: list[tuple], ed: float):
     """The calibration objective along the grid row at `ed`, as
-    `objectives(fs, bound=inf)`: the objective at (ed, f) for each f in fs.
+    `objectives(fs, bound=inf)`: `_cell` at (ed, f) for each f in fs.
 
     Only the rate's last step depends on f, so each target's f-independent
-    terms (its decoy chain and QBER term) are computed once, up front, which
-    is exact: `_decoy_chain` is float arithmetic on validated intensities
-    and cannot raise. Each cell adds the f tails of its targets in order and
-    stops at its first zero rate, so every value has the per-cell sum's bits.
-
-    Each target adds a term >= 0, and rounded float addition is monotone
-    in each argument, so a cell's running total never decreases. A cell stops
-    once its total reaches `bound`: a cell whose objective is below `bound`
-    keeps its bits, and any other returns a value >= `bound`.
-    `objectives.lower_bound`, the row's QBER terms summed in target order
-    from 0.0, is <= every cell of the row (inf when a yield bound vanishes).
+    terms are computed once per row, up front, which is exact:
+    `_decoy_split` is float arithmetic on validated intensities and cannot
+    raise. `objectives.lower_bound` is `_lower_bound(points, ed)`.
     """
-    row, lower_bound = [], 0.0
-    for _, chain, (eta, y0), q_sift, clock_hz, p_mu, log_rate, qber in points:
-        _, emu, _, _, _, _, _, terms = chain(eta, y0, ed)
-        if terms is None:   # vanished yield bound: zero rate at every f
-            row, lower_bound = None, math.inf
-            break
-        qber_term = ((emu - qber) / 0.005) ** 2
-        row.append((terms, q_sift, clock_hz, p_mu, log_rate, qber_term))
-        lower_bound += qber_term
+    row = _row_terms(points, ed)
 
     def objectives(fs: Sequence[float],
                    bound: float = math.inf) -> list[float]:
-        if row is None:
-            return [math.inf] * len(fs)
-        totals = []
-        for f in fs:
-            total = 0.0
-            for terms, q_sift, clock_hz, p_mu, log_rate, qber_term in row:
-                rate = _rate_per_pulse(terms, f, q_sift) * clock_hz * p_mu
-                if rate <= 0.0:
-                    total = math.inf
-                    break
-                total += (math.log(rate) - log_rate) ** 2 + qber_term
-                if total >= bound:
-                    break
-            totals.append(total)
-        return totals
-    objectives.lower_bound = lower_bound
+        return [_cell(row, f, bound) for f in fs]
+    objectives.lower_bound = _lower_bound(points, ed)
     return objectives
 
 
@@ -588,20 +615,23 @@ def calibrate(scenarios: Sequence[Scenario],
     followed by alternating golden-section refinement of each coordinate
     within one grid cell of the best point.
 
-    The grid is searched by row (`_objective_row`), branch and bound: the
-    f-independent part of each target's rate is computed once per e_d,
-    which also gives the row's lower bound. The pilot row, the one with the
-    smallest lower bound, is evaluated in full; its minimum U is a grid
-    value, so no cell above U can be the minimum. Rows are then scanned in
-    order, skipping a row whose lower bound is above U or not below the
-    best so far, and each cell stops adding targets once its total is above
-    U or not below the best at the row's start. This is exact for two
-    reasons. Every target's term is >= 0 and float addition is monotone, so
+    What depends on a target's (eta, y0) alone is computed once
+    (`_calibration_points`). The grid is searched by row, branch and bound:
+    a row's lower bound needs each target's Emu at its e_d only
+    (`_lower_bound`), and the rest of the f-independent part of the rate
+    is computed only for a row that is evaluated (`_objective_row`). The
+    pilot row, the one with the smallest lower bound, is evaluated in full;
+    its minimum U is a grid value, so no cell above U can be the minimum.
+    Rows are then scanned in order, skipping a row whose lower bound is
+    above U or not below the best so far, and each cell stops adding
+    targets once its total is above U or not below the best at the row's
+    start. This is exact for two reasons. Every target's term is >= 0 and float addition is monotone, so
     a partial sum never exceeds the cell's objective. And a cell replaces
     the best only when strictly smaller, so ties go to the first cell in
     row-major order, which no skipped cell could be. The report keeps the
-    bits of the full scan. The golden-section steps use exact values, and
-    the steps in f reuse the row of their e_d.
+    bits of the full scan. The golden-section steps use exact values: a
+    step in e_d evaluates its one cell (`_cell`), and the steps in f reuse
+    the row of their e_d.
     """
     if not targets:
         raise ConfigError("calibration needs at least one target")
@@ -615,16 +645,17 @@ def calibrate(scenarios: Sequence[Scenario],
     n_f = int(round((F_BOUNDS[1] - F_BOUNDS[0]) / F_STEP)) + 1
     fs = [F_BOUNDS[0] + j * F_STEP for j in range(n_f)]
     eds = [ED_BOUNDS[0] + i * ED_STEP for i in range(n_ed)]
-    rows = [_objective_row(points, ed) for ed in eds]
-    pilot = min(range(n_ed), key=lambda i: rows[i].lower_bound)
-    pilot_values = rows[pilot](fs)
+    lower_bounds = [_lower_bound(points, ed) for ed in eds]
+    pilot = min(range(n_ed), key=lower_bounds.__getitem__)
+    pilot_values = _objective_row(points, eds[pilot])(fs)
     above_pilot = math.nextafter(min(pilot_values), math.inf)
     best = (math.inf, ED_BOUNDS[0], F_BOUNDS[0])
-    for i, (ed, row) in enumerate(zip(eds, rows)):
+    for i, (ed, lower_bound) in enumerate(zip(eds, lower_bounds)):
         bound = min(above_pilot, best[0])
-        if row.lower_bound >= bound:
+        if lower_bound >= bound:
             continue
-        values = pilot_values if i == pilot else row(fs, bound)
+        values = (pilot_values if i == pilot
+                  else _objective_row(points, ed)(fs, bound))
         for value, f in zip(values, fs):
             if value < best[0]:
                 best = (value, ed, f)
@@ -636,20 +667,20 @@ def calibrate(scenarios: Sequence[Scenario],
 
     _, ed, f = best
     for _ in range(3):
-        ed = _golden_min(lambda x: _objective_row(points, x)([f])[0],
+        ed = _golden_min(lambda x: _cell(_row_terms(points, x), f),
                          max(ED_BOUNDS[0], ed - ED_STEP),
                          min(ED_BOUNDS[1], ed + ED_STEP))
-        row = _objective_row(points, ed)
-        f = _golden_min(lambda x: row([x])[0],
+        row = _row_terms(points, ed)
+        f = _golden_min(lambda x: _cell(row, x),
                         max(F_BOUNDS[0], f - F_STEP),
                         min(F_BOUNDS[1], f + F_STEP))
-    refined = row([f])[0]
+    refined = _cell(row, f)
     if refined > best[0]:
         _, ed, f = best
         refined = best[0]
 
     residuals = []
-    for scen, tgt, (key, _, (eta, y0), *_) in zip(scenarios, targets, points):
+    for scen, tgt, (key, (eta, y0), *_) in zip(scenarios, targets, points):
         _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
         residuals.append(TargetResidual(
             scenario=scen.name,

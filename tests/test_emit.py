@@ -120,13 +120,14 @@ def test_sweep_chunks_match_row_oracle(chunk):
 
 def test_dense_sweep_memory():
     # The paper's dense Fig. 4 sweep, 30,001 rows: the table holds its floats
-    # unboxed, about 90 B a row, and writing it holds one chunk's strings.
+    # unboxed, about 90 B a row, building it holds one chunk's distances, and
+    # writing it holds one chunk's strings.
     scenario._scientific()   # numpy is imported before tracing
     scen, sweep = get_preset("fig4-full"), SweepSpec(0.0, 300.0, 0.01)
     tracemalloc.start()
     try:
         table = _sweep_table(scen, sweep)
-        held = tracemalloc.get_traced_memory()[0]
+        held, built = tracemalloc.get_traced_memory()
         emitted, lines = {}, 0
         for fmt in ("csv", "json"):
             tracemalloc.reset_peak()
@@ -138,7 +139,7 @@ def test_dense_sweep_memory():
     finally:
         tracemalloc.stop()
     assert lines == 30_002
-    assert held <= 4e6
+    assert held <= 4e6 and built <= 3.5e6
     assert emitted["csv"] <= 1e6 and emitted["json"] <= 1e6
 
 

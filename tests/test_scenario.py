@@ -26,8 +26,9 @@ from qkdcoex.presets import REFERENCE_TARGETS, get_preset, preset_names
 from qkdcoex.raman import srs_noise_rate_cps
 from qkdcoex.scenario import (ED_BOUNDS, ED_STEP, F_BOUNDS, F_STEP,
                               CalibrationReport, CalibrationTarget, SweepSpec,
-                              TargetResidual, _calibration_points, _golden_min,
-                              _objective_row, _resolve, apply_calibration,
+                              TargetResidual, _calibration_points, _cell,
+                              _golden_min, _objective_row, _resolve,
+                              _row_terms, apply_calibration,
                               calibrate, channel_state, emit_results,
                               evaluate_at, launch_power_dbm,
                               max_secure_distance, rows_to_csv, rows_to_json,
@@ -509,6 +510,44 @@ class TestCalibration:
         assert [v.hex() for v in row(fs)] == expected
         # one f at a time, as the golden-section steps call it
         assert [row([f])[0].hex() for f in fs] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(targets=_calibration_targets(),
+           ed=st.floats(*ED_BOUNDS), f=st.floats(*F_BOUNDS))
+    # a vanished yield bound at the second target
+    @example(targets=[("smf", 0.4, 63.0, 2300.0, 0.04),
+                      ("lp01in", 3.0, 20.0, 1e5, 0.02)], ed=0.02, f=1.2)
+    # near the cliff: a zero rate at f = 1.5
+    @example(targets=[("lp01in", 0.4, 87.0, 50.0, 0.05)], ed=0.03, f=1.5)
+    def test_single_cell_is_the_cell_objective(self, targets, ed, f):
+        # the path of the golden-section steps in e_d
+        scenarios, cal_targets = _fit_inputs(targets)
+        points = _calibration_points(scenarios, cal_targets)
+        assert (_cell(_row_terms(points, ed), f).hex()
+                == _cell_objective(scenarios, cal_targets, ed, f).hex())
+
+    @pytest.mark.parametrize("names", [
+        [name for name, _ in REFERENCE_TARGETS], ["smf"], ["lp02in"] * 4])
+    def test_target_constants_computed_once(self, names, monkeypatch):
+        # What depends on a target's (eta, Y0) alone is computed once per
+        # calibration, not once per row or refinement step.
+        calls = []
+        real_split = scenario_mod._decoy_split
+
+        def counting_split(mu, nu):
+            split = real_split(mu, nu)
+
+            def counted(eta, y0):
+                calls.append((eta, y0))
+                return split(eta, y0)
+            return counted
+
+        monkeypatch.setattr(scenario_mod, "_decoy_split", counting_split)
+        scenarios = [get_preset(name) for name in names]
+        targets = [CalibrationTarget(60.0 + i, 1e4, 0.03)
+                   for i in range(len(names))]
+        calibrate(scenarios, targets)
+        assert len(calls) == len(targets)
 
     @settings(max_examples=40, deadline=None)
     @given(targets=_calibration_targets(),
