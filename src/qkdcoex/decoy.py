@@ -100,6 +100,11 @@ class DetectorSpec:
             )
         if self.gate_hz <= 0.0:
             raise ConfigError(f"gate frequency must be > 0, got {self.gate_hz}")
+        # The dark-count term multiplies by it, so a float would scale Y0
+        # and True (a bool is an int) would count as one detector.
+        if type(self.num_detectors) is not int:
+            raise ConfigError(f"detector num_detectors must be an int, got "
+                              f"{self.num_detectors!r}")
         if self.num_detectors < 1:
             raise ConfigError(f"need >= 1 detector, got {self.num_detectors}")
         try:
@@ -191,27 +196,27 @@ class DistanceResult:
 # per-point kernels: evaluated once per sweep point, calibration grid cell
 # and bisection step, on arguments the public functions below validate.
 
-def _decoy_chain(mu: float, nu: float):
+def _decoy_steps(mu: float, nu: float):
     """The part of the key rate that does not depend on the EC efficiency f,
-    with the intensity constants of the vacuum+weak bound bound once.
+    in three steps, with the intensity constants of the vacuum+weak bound
+    (e^mu, e^nu, e^-mu, nu^2, mu^2 and the two quotients of mu and nu alone)
+    computed once:
 
-    `chain(eta, y0, ed)` returns (Qmu, Emu, Qnu, Enu, Y1L, e1U, clamp
-    events, terms), where `terms` = (-Qmu, H2(Emu), Q1 * (1 - H2(e1U)))
-    feeds `_rate_per_pulse`, or is None when the yield bound vanishes: the
-    rate is then zero, with e1 pinned at 0.5. Each step is the one of
-    `gain_and_qber`, `y1_lower_bound`, `e1_upper_bound` and
-    `binary_entropy`, written out with the operations in their order, so
-    every value carries their bits; only the constants (e^mu, e^nu, e^-mu,
-    nu^2, mu^2 and the two quotients that hold nothing but mu and nu) are
-    computed once.
+    - `prefix(eta, y0)`: (signal_mu, Qmu, signal_nu, Qnu, E0*Y0, Y1L, clamp
+      events), with Y1L clamped to [0, 1];
+    - `emu_at(p, ed)`: Emu, from a prefix `p`;
+    - `rest(p, ed, emu)`: (Qmu, Emu, Qnu, Enu, Y1L, e1U, clamp events,
+      terms), where `terms` = (-Qmu, H2(Emu), Q1 * (1 - H2(e1U))) feeds
+      `_rate_per_pulse`, or is None when the yield bound vanishes: the rate
+      is then zero, with e1U pinned at 0.5 and one more clamp event.
 
-    These inline copies of public formulas, and those of `_decoy_split`,
-    are pinned bit for bit by `TestBoundKernel`. A call per step costs too
-    much: on the `search` benchmark, sharing every formula of the chain
-    raised `calibrate_ms` by 18.2% and `max_distance_ms` by 11.2%, and
-    sharing just the two bounds still raised `calibrate_ms` by 9.7%. The
-    chain also stays one call per point: through `_decoy_split` a point
-    took 1.7 against 1.1 us (Python 3.11, shared 2-CPU host).
+    A point runs all three (`_kernel`); a calibration runs `prefix` once per
+    target and the other two per grid row. Each statement is the one of
+    `gain_and_qber`, `y1_lower_bound`, `e1_upper_bound` or `binary_entropy`
+    with the operations in their order (E0*Y0 comes first in both
+    numerators), so every value carries their bits (`TestBoundKernel`). A
+    call per public step costs too much: on the `search` benchmark it raised
+    `calibrate_ms` by 18.2% and `max_distance_ms` by 11.2%.
     """
     e_mu, e_nu, e_neg_mu = math.exp(mu), math.exp(nu), math.exp(-mu)
     nu2, mu2 = nu * nu, mu * mu
@@ -220,26 +225,31 @@ def _decoy_chain(mu: float, nu: float):
     log2 = math.log2
     expm1 = math.expm1
 
-    def chain(eta, y0, ed):
-        signal = -expm1(-eta * mu)
-        qmu = y0 + signal
-        emu = (_E0 * y0 + ed * signal) / qmu if qmu > 0.0 else _E0
-        signal = -expm1(-eta * nu)
-        qnu = y0 + signal
-        enu = (_E0 * y0 + ed * signal) / qnu if qnu > 0.0 else _E0
-
+    def prefix(eta, y0):
+        signal_mu = -expm1(-eta * mu)
+        qmu = y0 + signal_mu
+        signal_nu = -expm1(-eta * nu)
+        qnu = y0 + signal_nu
         # A raw bound of exactly +-0.0 is returned unclamped, as
-        # `y1_lower_bound` does, and then counts one clamp event below.
+        # `y1_lower_bound` does; `rest` then counts one clamp event.
         y1 = scale * (qnu * e_nu - qmu * e_mu * nu2 / mu2 - vacuum * y0)
         clamps = 0
         if y1 < 0.0:
             y1, clamps = 0.0, 1
         elif y1 > 1.0:
             y1, clamps = 1.0, 1
+        return signal_mu, qmu, signal_nu, qnu, _E0 * y0, y1, clamps
+
+    def emu_at(p, ed):
+        signal_mu, qmu, _, _, e0_y0, _, _ = p
+        return (e0_y0 + ed * signal_mu) / qmu if qmu > 0.0 else _E0
+
+    def rest(p, ed, emu):
+        _, qmu, signal_nu, qnu, e0_y0, y1, clamps = p
+        enu = (e0_y0 + ed * signal_nu) / qnu if qnu > 0.0 else _E0
         if y1 <= 0.0:
             return qmu, emu, qnu, enu, y1, 0.5, clamps + 1, None
-
-        e1 = (enu * qnu * e_nu - _E0 * y0) / (y1 * nu)
+        e1 = (enu * qnu * e_nu - e0_y0) / (y1 * nu)
         if e1 < 0.0:
             e1, clamps = 0.0, clamps + 1
         elif e1 > 0.5:
@@ -250,62 +260,11 @@ def _decoy_chain(mu: float, nu: float):
                 -e1 * log2(e1) - (1.0 - e1) * log2(1.0 - e1))
         return (qmu, emu, qnu, enu, y1, e1, clamps,
                 (-qmu, h_emu, y1 * mu * e_neg_mu * (1.0 - h_e1)))
-    return chain
-
-
-def _decoy_split(mu: float, nu: float):
-    """`_decoy_chain` split by what each value depends on, for a
-    calibration, where each target's (eta, y0) is fixed and only e_d moves.
-
-    `split(eta, y0)` returns `(emu_of, terms_of)`: `emu_of(ed)` is the
-    chain's Emu and `terms_of(ed, emu_of(ed))` its `terms`; `terms_of` is
-    None when the chain's `terms` is None (a vanished yield bound). `split`
-    computes what depends on (eta, y0) alone: both signal terms, both
-    gains, the clamped Y1L, E0*Y0, Y1L*nu and Y1L*mu*e^-mu. Each is a
-    left-to-right prefix of the chain's expression, so every value has the
-    chain's bits.
-    """
-    e_mu, e_nu, e_neg_mu = math.exp(mu), math.exp(nu), math.exp(-mu)
-    nu2, mu2 = nu * nu, mu * mu
-    scale = mu / (mu * nu - nu2)
-    vacuum = (mu2 - nu2) / mu2
-    log2 = math.log2
-
-    def split(eta, y0):
-        signal_mu = -math.expm1(-eta * mu)
-        qmu = y0 + signal_mu
-        signal_nu = -math.expm1(-eta * nu)
-        qnu = y0 + signal_nu
-        e0_y0 = _E0 * y0
-
-        def emu_of(ed):
-            return (e0_y0 + ed * signal_mu) / qmu if qmu > 0.0 else _E0
-
-        y1 = scale * (qnu * e_nu - qmu * e_mu * nu2 / mu2 - vacuum * y0)
-        if y1 <= 0.0:
-            return emu_of, None
-        if y1 > 1.0:
-            y1 = 1.0
-        y1_nu, single = y1 * nu, y1 * mu * e_neg_mu
-
-        def terms_of(ed, emu):
-            enu = (e0_y0 + ed * signal_nu) / qnu if qnu > 0.0 else _E0
-            e1 = (enu * qnu * e_nu - e0_y0) / y1_nu
-            if e1 < 0.0:
-                e1 = 0.0
-            elif e1 > 0.5:
-                e1 = 0.5
-            h_emu = (0.0 if emu <= 0.0 or emu >= 1.0 else
-                     -emu * log2(emu) - (1.0 - emu) * log2(1.0 - emu))
-            h_e1 = (0.0 if e1 <= 0.0 or e1 >= 1.0 else
-                    -e1 * log2(e1) - (1.0 - e1) * log2(1.0 - e1))
-            return -qmu, h_emu, single * (1.0 - h_e1)
-        return emu_of, terms_of
-    return split
+    return prefix, emu_at, rest
 
 
 def _rate_per_pulse(terms: tuple, f_ec: float, q_sift: float) -> float:
-    """The rate R per pulse of the module docstring from the `_decoy_chain`
+    """The rate R per pulse of the module docstring from the `_decoy_steps`
     terms, clamped at 0: the only part of the rate that depends on f."""
     neg_qmu, h_emu, single = terms
     r = q_sift * (neg_qmu * f_ec * h_emu + single)
@@ -316,15 +275,16 @@ def _rate_per_pulse(terms: tuple, f_ec: float, q_sift: float) -> float:
 
 def _kernel(intensities: DecoyIntensities, params: ProtocolParams):
     """The per-point key rate with its constants bound once: `key(eta, y0,
-    ed, f)` gives the `KeyRateBreakdown` fields in order, from the same two
-    steps the calibration grid uses, with rate_bps = rate_per_pulse *
-    clock_hz * p_mu. ed and f default to those of `params`."""
-    chain = _decoy_chain(intensities.mu, intensities.nu)
+    ed, f)` gives the `KeyRateBreakdown` fields in order, from the three
+    steps of `_decoy_steps`, with rate_bps = rate_per_pulse * clock_hz *
+    p_mu. ed and f default to those of `params`."""
+    prefix, emu_at, rest = _decoy_steps(intensities.mu, intensities.nu)
     p_mu = intensities.p_mu
     q_sift, clock_hz = params.sifting_factor, params.clock_hz
 
     def key(eta, y0, ed=params.misalignment_error, f=params.ec_efficiency):
-        qmu, emu, qnu, enu, y1, e1, clamps, terms = chain(eta, y0, ed)
+        p = prefix(eta, y0)
+        qmu, emu, qnu, enu, y1, e1, clamps, terms = rest(p, ed, emu_at(p, ed))
         r = 0.0 if terms is None else _rate_per_pulse(terms, f, q_sift)
         return qmu, emu, qnu, enu, y1, e1, r, r * clock_hz * p_mu, clamps
     return key

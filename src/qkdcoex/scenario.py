@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     DetectorSpec, DistanceResult, ProtocolParams, _dark_yield,
-                    _decoy_split, _kernel, _rate_per_pulse, _y0_step,
+                    _decoy_steps, _kernel, _rate_per_pulse, _y0_step,
                     dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
                      DomainError, QkdCoexError, _require_finite)
@@ -521,17 +521,19 @@ def _golden_min(fn, lo: float, hi: float) -> float:
 def _calibration_points(scenarios: Sequence[Scenario],
                         targets: Sequence[CalibrationTarget]) -> list[tuple]:
     """Per target, resolved once: its bound kernel and the channel point
-    (eta, y0) it is evaluated at; the `emu_of` and `terms_of` of its
-    `_decoy_split`, which computes the decoy values that depend on (eta,
-    y0) alone here, once per calibration; its rate constants q_sift,
-    clock_hz and p_mu; the log of its target rate; and its target QBER."""
+    (eta, y0) it is evaluated at; the `prefix` of its `_decoy_steps` at
+    (eta, y0), computed once per calibration, and its `emu_at` and `rest`
+    steps (`rest` None when the yield bound vanishes); its rate constants
+    q_sift, clock_hz and p_mu; the log of its target rate; and its QBER."""
     points = []
     for scen, tgt in zip(scenarios, targets):
         channel, key = _resolve(scen)
         _, _, _, _, _, y0, eta, _ = channel(tgt.distance_km)
         intensities, protocol = scen.intensities, scen.protocol
-        points.append((key, (eta, y0),
-                       *_decoy_split(intensities.mu, intensities.nu)(eta, y0),
+        prefix, emu_at, rest = _decoy_steps(intensities.mu, intensities.nu)
+        p = prefix(eta, y0)
+        _, _, _, _, _, y1, _ = p
+        points.append((key, (eta, y0), p, emu_at, None if y1 <= 0.0 else rest,
                        protocol.sifting_factor, protocol.clock_hz,
                        intensities.p_mu, math.log(tgt.key_rate_bps), tgt.qber))
     return points
@@ -542,23 +544,24 @@ def _lower_bound(points: list[tuple], ed: float) -> float:
     every cell of the row at `ed`; inf when a yield bound vanishes. It needs
     each target's Emu only."""
     total = 0.0
-    for _, _, emu_of, terms_of, _, _, _, _, qber in points:
-        if terms_of is None:
+    for _, _, p, emu_at, rest, _, _, _, _, qber in points:
+        if rest is None:
             return math.inf
-        total += ((emu_of(ed) - qber) / 0.005) ** 2
+        total += ((emu_at(p, ed) - qber) / 0.005) ** 2
     return total
 
 
 def _row_terms(points: list[tuple], ed: float) -> list[tuple] | None:
     """What a cell of the row at `ed` needs of each target: its `terms`,
     rate constants, log target rate and QBER term. None when a yield bound
-    vanishes: the rate is then zero at every f."""
+    vanishes: the rate is then zero at every f. It runs once per row before
+    any cell, which is exact: float arithmetic on valid inputs cannot raise."""
     row = []
-    for _, _, emu_of, terms_of, q_sift, clock_hz, p_mu, log_rate, qber in points:
-        if terms_of is None:
+    for _, _, p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber in points:
+        if rest is None:
             return None
-        emu = emu_of(ed)
-        row.append((terms_of(ed, emu), q_sift, clock_hz, p_mu, log_rate,
+        emu = emu_at(p, ed)
+        row.append((rest(p, ed, emu)[7], q_sift, clock_hz, p_mu, log_rate,
                     ((emu - qber) / 0.005) ** 2))
     return row
 
@@ -584,24 +587,6 @@ def _cell(row: list[tuple] | None, f: float,
     return total
 
 
-def _objective_row(points: list[tuple], ed: float):
-    """The calibration objective along the grid row at `ed`, as
-    `objectives(fs, bound=inf)`: `_cell` at (ed, f) for each f in fs.
-
-    Only the rate's last step depends on f, so each target's f-independent
-    terms are computed once per row, up front, which is exact:
-    `_decoy_split` is float arithmetic on validated intensities and cannot
-    raise. `objectives.lower_bound` is `_lower_bound(points, ed)`.
-    """
-    row = _row_terms(points, ed)
-
-    def objectives(fs: Sequence[float],
-                   bound: float = math.inf) -> list[float]:
-        return [_cell(row, f, bound) for f in fs]
-    objectives.lower_bound = _lower_bound(points, ed)
-    return objectives
-
-
 def calibrate(scenarios: Sequence[Scenario],
               targets: Sequence[CalibrationTarget]) -> CalibrationReport:
     """Fit the shared free parameters (misalignment error e_d, EC
@@ -619,17 +604,17 @@ def calibrate(scenarios: Sequence[Scenario],
     (`_calibration_points`). The grid is searched by row, branch and bound:
     a row's lower bound needs each target's Emu at its e_d only
     (`_lower_bound`), and the rest of the f-independent part of the rate
-    is computed only for a row that is evaluated (`_objective_row`). The
+    is computed only for a row that is evaluated (`_row_terms`). The
     pilot row, the one with the smallest lower bound, is evaluated in full;
     its minimum U is a grid value, so no cell above U can be the minimum.
     Rows are then scanned in order, skipping a row whose lower bound is
     above U or not below the best so far, and each cell stops adding
     targets once its total is above U or not below the best at the row's
-    start. This is exact for two reasons. Every target's term is >= 0 and float addition is monotone, so
-    a partial sum never exceeds the cell's objective. And a cell replaces
-    the best only when strictly smaller, so ties go to the first cell in
-    row-major order, which no skipped cell could be. The report keeps the
-    bits of the full scan. The golden-section steps use exact values: a
+    start. This is exact for two reasons. Every target's term is >= 0 and
+    float addition is monotone, so a partial sum never exceeds the cell's
+    objective. And a cell replaces the best only when strictly smaller, so
+    ties go to the first cell in row-major order, which no skipped cell
+    could be. The report keeps the bits of the full scan. The golden-section steps use exact values: a
     step in e_d evaluates its one cell (`_cell`), and the steps in f reuse
     the row of their e_d.
     """
@@ -647,15 +632,18 @@ def calibrate(scenarios: Sequence[Scenario],
     eds = [ED_BOUNDS[0] + i * ED_STEP for i in range(n_ed)]
     lower_bounds = [_lower_bound(points, ed) for ed in eds]
     pilot = min(range(n_ed), key=lower_bounds.__getitem__)
-    pilot_values = _objective_row(points, eds[pilot])(fs)
+    pilot_row = _row_terms(points, eds[pilot])
+    pilot_values = [_cell(pilot_row, f) for f in fs]
     above_pilot = math.nextafter(min(pilot_values), math.inf)
     best = (math.inf, ED_BOUNDS[0], F_BOUNDS[0])
     for i, (ed, lower_bound) in enumerate(zip(eds, lower_bounds)):
         bound = min(above_pilot, best[0])
         if lower_bound >= bound:
             continue
-        values = (pilot_values if i == pilot
-                  else _objective_row(points, ed)(fs, bound))
+        values = pilot_values
+        if i != pilot:
+            row = _row_terms(points, ed)
+            values = [_cell(row, f, bound) for f in fs]
         for value, f in zip(values, fs):
             if value < best[0]:
                 best = (value, ed, f)

@@ -8,8 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 import oracles
 from qkdcoex import get_preset, scenario
 from qkdcoex.decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
-                           DistanceResult, ProtocolParams, _decoy_chain,
-                           _decoy_split, _kernel,
+                           DistanceResult, ProtocolParams, _kernel,
                            background_yield, binary_entropy, dbm_to_mw, e1_upper_bound,
                            find_rate_cliff, gain_and_qber, key_rate_details,
                            max_secure_distance_km, secure_key_rate_bps,
@@ -76,6 +75,13 @@ class TestTypes:
             DetectorSpec(efficiency=0.0)
         with pytest.raises(ConfigError):
             DetectorSpec(dark_count_per_gate=1.0)
+
+    @pytest.mark.parametrize("count", [2.5, 4.0, True, "4", None])
+    def test_detector_count_must_be_an_int(self, count):
+        # Y0's dark-count term multiplies by the count: 2.5 would scale it
+        # and True would count as one detector.
+        with pytest.raises(ConfigError, match="num_detectors must be an int"):
+            DetectorSpec(num_detectors=count)
 
     def test_protocol_ranges(self):
         with pytest.raises(ConfigError):
@@ -547,15 +553,19 @@ def _e1_upper(enu, qnu, nu, y1, y0, e0):
 
 
 class TestBoundKernel:
-    """`decoy._kernel` binds the intensity constants once and writes the
-    gains, the bounds and the entropies out in one chain; every field must
-    carry the bits of the public helpers that state each step."""
+    """`decoy._kernel` evaluates a point through the three steps of
+    `decoy._decoy_steps`, which bind the intensity constants once and write
+    the gains, the bounds and the entropies out; every field must carry the
+    bits of the public helpers that state each step. The calibration runs
+    the same steps, so this pins its values too."""
 
     @given(eta=_PROB, y0=_PROB.filter(lambda y: y < 1.0),
            mu=st.floats(1e-3, 30.0), nu_share=st.floats(1e-3, 0.999),
            ed=st.floats(0.0, 0.4999), f=st.floats(1.0, 2.0))
     # a raw Y1 bound of exactly 0.0: unclamped, then one clamp event
     @example(eta=0.0, y0=0.0, mu=0.4, nu_share=0.5, ed=0.033, f=1.16)
+    # a raw Y1 bound above 1: clamped to 1 before the products
+    @example(eta=1.0, y0=0.5, mu=0.1, nu_share=0.1, ed=0.033, f=1.16)
     def test_matches_public_helpers(self, eta, y0, mu, nu_share, ed, f):
         try:
             intensities = DecoyIntensities(mu=mu, nu=mu * nu_share)
@@ -594,23 +604,3 @@ class TestBoundKernel:
         assert (e1, r, clamps) == (0.5, 0.0, 1)
         # a raw bound of -0.0 keeps its sign
         assert _bits(y1_lower_bound(0.0, -0.0, INT, 0.0)) == _bits(-0.0)
-
-    @given(eta=_PROB, y0=_PROB.filter(lambda y: y < 1.0),
-           mu=st.floats(1e-3, 30.0), nu_share=st.floats(1e-3, 0.999),
-           ed=st.floats(0.0, 0.4999))
-    # a raw Y1 bound of exactly 0.0: the yield bound vanishes
-    @example(eta=0.0, y0=0.0, mu=0.4, nu_share=0.5, ed=0.033)
-    # a raw Y1 bound above 1: clamped to 1 before the products
-    @example(eta=1.0, y0=0.5, mu=0.1, nu_share=0.1, ed=0.033)
-    def test_split_matches_the_chain(self, eta, y0, mu, nu_share, ed):
-        try:
-            intensities = DecoyIntensities(mu=mu, nu=mu * nu_share)
-        except ConfigError:
-            assume(False)
-        nu = intensities.nu
-        _, emu, _, _, _, _, _, terms = _decoy_chain(mu, nu)(eta, y0, ed)
-        emu_of, terms_of = _decoy_split(mu, nu)(eta, y0)
-        assert _bits(emu_of(ed)) == _bits(emu)
-        assert (terms_of is None) == (terms is None)
-        if terms is not None:
-            assert _bits(*terms_of(ed, emu)) == _bits(*terms)

@@ -27,7 +27,7 @@ from qkdcoex.raman import srs_noise_rate_cps
 from qkdcoex.scenario import (ED_BOUNDS, ED_STEP, F_BOUNDS, F_STEP,
                               CalibrationReport, CalibrationTarget, SweepSpec,
                               TargetResidual, _calibration_points, _cell,
-                              _golden_min, _objective_row, _resolve,
+                              _golden_min, _lower_bound, _resolve,
                               _row_terms, apply_calibration,
                               calibrate, channel_state, emit_results,
                               evaluate_at, launch_power_dbm,
@@ -386,7 +386,9 @@ def _full_scan_calibrate(scenarios, targets):
     points = _calibration_points(scenarios, targets)
     best = (math.inf, ED_BOUNDS[0], F_BOUNDS[0])
     for ed in _GRID_ED:
-        for value, f in zip(_objective_row(points, ed)(_GRID_F), _GRID_F):
+        row = _row_terms(points, ed)
+        for f in _GRID_F:
+            value = _cell(row, f)
             if value < best[0]:
                 best = (value, ed, f)
     if not math.isfinite(best[0]):
@@ -394,14 +396,14 @@ def _full_scan_calibrate(scenarios, targets):
 
     _, ed, f = best
     for _ in range(3):
-        ed = _golden_min(lambda x: _objective_row(points, x)([f])[0],
+        ed = _golden_min(lambda x: _cell(_row_terms(points, x), f),
                          max(ED_BOUNDS[0], ed - ED_STEP),
                          min(ED_BOUNDS[1], ed + ED_STEP))
-        row = _objective_row(points, ed)
-        f = _golden_min(lambda x: row([x])[0],
+        row = _row_terms(points, ed)
+        f = _golden_min(lambda x: _cell(row, x),
                         max(F_BOUNDS[0], f - F_STEP),
                         min(F_BOUNDS[1], f + F_STEP))
-    refined = row([f])[0]
+    refined = _cell(row, f)
     if refined > best[0]:
         _, ed, f = best
         refined = best[0]
@@ -483,7 +485,8 @@ class TestCalibration:
         for targets in ([scenario], [get_preset("smf"), scenario]):
             points = _calibration_points(
                 targets, [CalibrationTarget(20.0, 1e5, 0.02)] * len(targets))
-            assert _objective_row(points, 0.01)(_GRID_F) == [math.inf] * 51
+            row = _row_terms(points, 0.01)
+            assert [_cell(row, f) for f in _GRID_F] == [math.inf] * 51
             with pytest.raises(CalibrationError):
                 calibrate(targets,
                           [CalibrationTarget(20.0, 1e5, 0.02)] * len(targets))
@@ -506,10 +509,12 @@ class TestCalibration:
         scenarios, cal_targets = _fit_inputs(targets)
         expected = [_cell_objective(scenarios, cal_targets, ed, f).hex()
                     for f in fs]
-        row = _objective_row(_calibration_points(scenarios, cal_targets), ed)
-        assert [v.hex() for v in row(fs)] == expected
-        # one f at a time, as the golden-section steps call it
-        assert [row([f])[0].hex() for f in fs] == expected
+        points = _calibration_points(scenarios, cal_targets)
+        row = _row_terms(points, ed)
+        assert [_cell(row, f).hex() for f in fs] == expected
+        # one row per f, as the golden-section steps in e_d build it
+        assert [_cell(_row_terms(points, ed), f).hex()
+                for f in fs] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(targets=_calibration_targets(),
@@ -532,17 +537,17 @@ class TestCalibration:
         # What depends on a target's (eta, Y0) alone is computed once per
         # calibration, not once per row or refinement step.
         calls = []
-        real_split = scenario_mod._decoy_split
+        real_steps = scenario_mod._decoy_steps
 
-        def counting_split(mu, nu):
-            split = real_split(mu, nu)
+        def counting_steps(mu, nu):
+            prefix, emu_at, rest = real_steps(mu, nu)
 
             def counted(eta, y0):
                 calls.append((eta, y0))
-                return split(eta, y0)
-            return counted
+                return prefix(eta, y0)
+            return counted, emu_at, rest
 
-        monkeypatch.setattr(scenario_mod, "_decoy_split", counting_split)
+        monkeypatch.setattr(scenario_mod, "_decoy_steps", counting_steps)
         scenarios = [get_preset(name) for name in names]
         targets = [CalibrationTarget(60.0 + i, 1e4, 0.03)
                    for i in range(len(names))]
@@ -566,16 +571,18 @@ class TestCalibration:
         """With a bound B, a cell below B keeps its bits and any other
         comes back >= B; the row's lower bound is <= every cell."""
         scenarios, cal_targets = _fit_inputs(targets)
-        row = _objective_row(_calibration_points(scenarios, cal_targets), ed)
-        exact = row(_GRID_F)
+        points = _calibration_points(scenarios, cal_targets)
+        row = _row_terms(points, ed)
+        exact = [_cell(row, f) for f in _GRID_F]
         if bound is None:   # a bound the row reaches exactly
             bound = exact[cell]
-        for value, bounded in zip(exact, row(_GRID_F, bound)):
+        for value, f in zip(exact, _GRID_F):
+            bounded = _cell(row, f, bound)
             if value < bound:
                 assert bounded.hex() == value.hex()
             else:
                 assert bounded >= bound
-        assert all(row.lower_bound <= value for value in exact)
+        assert all(_lower_bound(points, ed) <= value for value in exact)
 
     @settings(max_examples=40, deadline=None)
     @given(targets=_calibration_targets())
@@ -610,7 +617,8 @@ class TestCalibration:
                            0.0).key_rate_bps
         targets = [CalibrationTarget(0.0, rate, 0.0)]
         points = _calibration_points([scenario], targets)
-        assert _objective_row(points, 0.0)(_GRID_F) == [0.0] * 51
+        row = _row_terms(points, 0.0)
+        assert [_cell(row, f) for f in _GRID_F] == [0.0] * 51
         report = calibrate([scenario], targets)
         assert (report.misalignment_error, report.ec_efficiency,
                 report.objective) == (0.0, 1.0, 0.0)
