@@ -152,6 +152,10 @@ class ProtocolParams:
             raise ConfigError(
                 f"sifting factor must be in (0, 1], got {self.sifting_factor}"
             )
+        # As num_detectors: a float, a bool or a count below 1 is no block.
+        if type(self.block_size_bits) is not int or self.block_size_bits < 1:
+            raise ConfigError(f"protocol block_size_bits must be an int >= 1, "
+                              f"got {self.block_size_bits!r}")
 
 
 @dataclass(frozen=True)
@@ -290,6 +294,57 @@ def _kernel(intensities: DecoyIntensities, params: ProtocolParams):
     return key
 
 
+# The margin of `_rate_bound`: its bracket must lie below -_RATE_MARGIN
+# times the single-photon term plus (f + mu * scale) times the gains and Y0
+# at eta_hi, and below -_RATE_FLOOR, so that no subnormal value certifies.
+# The second part scales the rounding error of the Y1 bound, which
+# cancellation can make far larger than an ulp of Y1, and of the EC term,
+# whose H2 has an absolute error of about an ulp (from log2(1 - x)).
+_RATE_MARGIN = 1e-12
+_RATE_FLOOR = 1e-300
+
+
+def _rate_bound(intensities: DecoyIntensities, params: ProtocolParams):
+    """`zero(eta_lo, eta_hi, y0)`: true only if the key rate is 0 at every
+    eta in [eta_lo, eta_hi] and every Y0 >= y0; None for mu > 1, where the
+    bound is not proven. `TestRateBound` checks it as a property."""
+    # The rate is positive only where the bracket R / q of the module
+    # docstring is, and `zero` bounds that bracket from above over the box:
+    # - EC = Qmu f H2(Emu) never falls as eta rises (Emu falls towards e_d,
+    #   and by concavity d(EC)/dQmu >= f H2(e_d) >= 0): take it at eta_lo.
+    # - With h(x) = (e^x - 1) / x^2, the raw Y1 bound is
+    #   scale (c0 Y0 + g(eta)), c0 = nu^2 (h(nu) - h(mu)) > 0 as h falls
+    #   on (0, 1], and g' = nu (e^(nu t) - nu/mu e^(mu t)) > 0, t = 1 - eta,
+    #   as ln z - z rises below 1. So for mu <= 1 it rises with eta: take
+    #   it at eta_hi, clamped as the kernel clamps it.
+    # - The numerator of e1U, Y0 (e^nu - 1) / 2 + e_d (1 - e^(-eta nu))
+    #   e^nu, never falls with eta: take it at eta_lo.
+    # - The single-photon term rises with Y1 and falls with that numerator.
+    # In Y0 the bound falls: d(EC)/dY0 >= f >= 1 (H2 is concave with
+    # H2(1/2) = 1), while the single-photon term rises at most mu e^-mu
+    # scale c0 = mu e^-mu mu nu (h(nu) - h(mu)) / (mu - nu) < 1/e, as the
+    # terms of h past 1/x + 1/2 all rise. So the bound at y0 bounds every
+    # Y0 >= y0. A computed Y1 bound that vanishes (it is > 0 but for
+    # rounding when eta or Y0 is > 0) certifies nothing.
+    mu, nu = intensities.mu, intensities.nu
+    if mu > 1.0:
+        return None
+    scale = mu / (mu * nu - nu * nu)
+    prefix, emu_at, rest = _decoy_steps(mu, nu)
+    ed, f = params.misalignment_error, params.ec_efficiency
+
+    def zero(eta_lo, eta_hi, y0):
+        lo, hi = prefix(eta_lo, y0), prefix(eta_hi, y0)
+        p = lo[:5] + hi[5:]
+        terms = rest(p, ed, emu_at(p, ed))[7]
+        if terms is None:
+            return False
+        neg_qmu, h_emu, single = terms
+        return neg_qmu * f * h_emu + single < -_RATE_FLOOR - _RATE_MARGIN * (
+            single + (f + mu * scale) * (hi[1] + hi[3] + y0))
+    return zero
+
+
 def binary_entropy(x: float) -> float:
     """H2(x) = -x log2 x - (1-x) log2 (1-x), with H2(0) = H2(1) = 0."""
     if not 0.0 <= x <= 1.0:
@@ -372,27 +427,32 @@ def secure_key_rate_bps(ch: ChannelPoint, intensities: DecoyIntensities,
 def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
                     to_km: float, coarse_step_km: float = 1.0,
                     resolution_km: float = 0.01,
-                    feasible_fn: Callable[[float], bool] | None = None
+                    zero_on: Callable[[float, float], bool | None] | None = None
                     ) -> DistanceResult:
     """Largest distance with rate_fn > 0: coarse grid scan, then bisection.
 
-    `rate_fn` must be pure. The coarse grid is evaluated from the top down
+    `rate_fn` must be pure. The coarse grid is scanned from the top down
     and the scan stops at the first point with a positive rate, which is the
     last positive grid point; the bisection then refines the interval above
     it. A grid point below that one is never evaluated, so an exception
     rate_fn would raise there does not surface.
 
-    `feasible_fn`, when given, must be pure and true on a prefix of the
-    ascending coarse grid and false on the rest. The scan finds the first
-    false grid point by bisection and starts just below it; grid points at
-    and above it are never passed to rate_fn, and their rate counts as 0.
-    An exception raised at a point that is evaluated propagates, from a
-    feasibility probe, the scan or the bisection alike.
+    `zero_on(a, b)`, when given, is a certificate: it must be pure and
+    return true only if every grid point in [a, b] may count as rate 0.
+    The scan is then a descent over blocks of grid points, each passed to
+    zero_on: a certified block is skipped whole, one for which zero_on
+    returns None (it can certify no block inside, as for a single point)
+    is scanned point by point, and any other is split, its upper half
+    first. rate_fn sees single points only, in descending order, so a
+    sound certificate gives the outcome of the plain scan
+    (`scenario.max_secure_distance` states the obligations and the margin
+    of its own). An exception raised at a point that is evaluated
+    propagates, from zero_on, the scan or the bisection alike.
 
     Returns the range upper bound with `at_upper_boundary` set when the rate
     is still positive there. Raises NoSecureDistanceError when the rate is
-    non-positive over the whole range (every grid point below the first
-    infeasible one is then evaluated). On a normal return d, the bracket
+    non-positive over the whole range (every grid point outside a certified
+    block is then evaluated). On a normal return d, the bracket
     rate_fn(d) > 0 and rate_fn(d + resolution) <= 0 holds. A coarse grid
     that would exceed _MAX_GRID_POINTS, or whose step does not advance at
     float resolution, raises DomainError before rate_fn is called; so does a
@@ -427,17 +487,18 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
     else:
         grid = [from_km]
 
-    top = len(grid)
-    if feasible_fn is not None:
-        lo = 0
-        while lo < top:
-            mid = (lo + top) // 2
-            if feasible_fn(grid[mid]):
-                lo = mid + 1
-            else:
-                top = mid
-    last = next((i for i in reversed(range(top))
-                 if rate_fn(grid[i]) > 0.0), None)
+    # Blocks of grid indices: the upper half of a split is pushed last, so
+    # it is popped first. The stack holds at most one block per level.
+    blocks, last = [(0, len(grid) - 1)], None
+    while blocks and last is None:
+        lo, hi = blocks.pop()
+        certified = None if zero_on is None else zero_on(grid[lo], grid[hi])
+        if certified is None:
+            last = next((i for i in range(hi, lo - 1, -1)
+                         if rate_fn(grid[i]) > 0.0), None)
+        elif not certified:
+            mid = (lo + hi + 1) // 2
+            blocks += (lo, mid - 1), (mid, hi)
     if last is None:
         raise NoSecureDistanceError(
             f"key rate is non-positive over [{from_km}, {to_km}] km"

@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     DetectorSpec, DistanceResult, ProtocolParams, _dark_yield,
-                    _decoy_steps, _kernel, _rate_per_pulse, _y0_step,
-                    dbm_to_mw, find_rate_cliff)
+                    _decoy_steps, _kernel, _rate_bound, _rate_per_pulse,
+                    _y0_step, dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
                      DomainError, QkdCoexError, _require_finite)
 from .link import Band, LinkPlan, _loss_db, _path, _transmittance
@@ -153,15 +153,17 @@ class ChannelState:
 
 
 def _resolve(scenario: Scenario):
-    """Validate once; return `(channel, key)`: `channel(d)` gives the
-    `ChannelState` fields after `distance_km` by float arithmetic only, and
-    `key` the kernel. The link, Raman and Y0 constants are bound here; each
-    step calls the statement its public function calls (`link._loss_db`,
-    `link._transmittance`, `raman._srs_rate`, `decoy._y0_step`), so every
-    value has their bits. Only the power floor, loss + sensitivity, is
-    written here as in `classical_min_launch_power_dbm`. A quantum loss or
-    floor that is not finite raises DomainError; the other fields are then
-    finite (the mW and SRS steps raise, y0 is clamped, eta <= efficiency)."""
+    """Validate once; return `(channel, key, certificate)`: `channel(d)`
+    gives the `ChannelState` fields after `distance_km` by float arithmetic
+    only, `key` the kernel, and `certificate(to_km, budget)` the `zero_on`
+    of `max_secure_distance`, or None. The link, Raman and Y0 constants are
+    bound here; each step calls the statement its public function calls
+    (`link._loss_db`, `link._transmittance`, `raman._srs_rate`,
+    `decoy._y0_step`), so every value has their bits. Only the power floor,
+    loss + sensitivity, is written here as in
+    `classical_min_launch_power_dbm`. A quantum loss or floor that is not
+    finite raises DomainError; the other fields are then finite (the mW and
+    SRS steps raise, y0 is clamped, eta <= efficiency)."""
     alpha_q, il_q = _path(scenario.link, Band.QUANTUM)
     alpha_c, il_c = _path(scenario.link, Band.CLASSICAL)
     alpha_r = alpha_q if scenario.raman_alpha_basis is Band.QUANTUM else alpha_c
@@ -192,7 +194,43 @@ def _resolve(scenario: Scenario):
                 _transmittance(quantum_loss) * efficiency,
                 launch + _FEASIBILITY_TOL_DB >= needed)
 
-    return channel, _kernel(scenario.intensities, protocol)
+    def closes(d: float) -> bool:
+        # channel(d)'s `feasible`: an adaptive launch below the cap is the
+        # power needed, which closes the link, so both modes compare the cap
+        return cap + _FEASIBILITY_TOL_DB >= _loss_db(alpha_c, il_c, d) + sensitivity
+
+    def certificate(to_km: float, budget: bool):
+        # Whether no channel on [0, to_km] can raise: its losses, launch
+        # power and P * rho * L never decrease with d.
+        needed = _loss_db(alpha_c, il_c, to_km) + sensitivity
+        try:
+            bounded = (_loss_db(alpha_q, il_q, to_km) < inf > needed
+                       and dbm_to_mw(min(needed, cap) if adaptive else cap)
+                       * rho * to_km < inf)
+        except DomainError:
+            bounded = False
+        if budget:
+            def closed_off(a: float, b: float) -> bool | None:
+                # Where a channel may raise, it is probed, as the search
+                # always did. A block that closes at b closes throughout.
+                if not (closes(a) if bounded else channel(a)[7]):
+                    return True
+                return None if closes(b) else False
+            return closed_off
+        zero = _rate_bound(scenario.intensities, protocol) if bounded else None
+        if zero is None:
+            return None
+
+        def zero_on(a: float, b: float) -> bool | None:
+            if a == b:
+                return None     # a point costs what its rate costs
+            _, _, _, _, srs, _, eta, _ = channel(a)
+            return zero(_transmittance(_loss_db(alpha_q, il_q, b)) * efficiency,
+                        eta, min(y0_of(srs * 10.0 ** (-alpha_r * (b - a) / 10.0)),
+                                 _Y0_MAX))
+        return zero_on
+
+    return channel, _kernel(scenario.intensities, protocol), certificate
 
 
 def _point(channel, key, d: float) -> tuple:
@@ -211,14 +249,14 @@ def launch_power_dbm(scenario: Scenario, distance_km: float) -> float:
 def channel_state(scenario: Scenario, distance_km: float) -> ChannelState:
     """Evaluate the link budget and background yield at one distance. A
     loss or power floor that overflows a float raises DomainError."""
-    channel, _ = _resolve(scenario)
+    channel, _, _ = _resolve(scenario)
     return ChannelState(distance_km, *channel(distance_km))
 
 
 def evaluate_at(scenario: Scenario, distance_km: float) -> ResultRow:
     """One full sweep point: link budget, noise, decoy bounds, key rate. A
     loss or power floor that overflows a float raises DomainError."""
-    return ResultRow(*_point(*_resolve(scenario), distance_km))
+    return ResultRow(*_point(*_resolve(scenario)[:2], distance_km))
 
 
 def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[list]:
@@ -233,7 +271,7 @@ def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[list]:
     # A scenario that fails to resolve is reported at the first point.
     table, d = [], chunk[0]
     try:
-        channel, key = _resolve(scenario)
+        channel, key, _ = _resolve(scenario)
         while chunk:
             rows = []
             for d in chunk:
@@ -397,21 +435,38 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
     `from_km` is rejected before the search: the top-down coarse scan would
     not reach it when a higher distance has a positive rate.
 
-    With the classical budget on, the coarse scan starts below the first
-    grid point where the classical link cannot close, found by bisection
-    (`find_rate_cliff`'s `feasible_fn`); the rate above it is 0 by
-    definition. Feasibility holds on a prefix of the ascending grid: every
-    attenuation lies in (0, 1) dB/km and every insertion loss is >= 0, so
-    with round-to-nearest arithmetic the classical loss, and the power it
-    needs, never decrease with d, while the launch power in use is the fixed
-    cap or min(needed, cap), so `launch + tol >= needed` can only turn false
-    once. No grid point at or above the first infeasible one reaches the key
-    rate, and an error from a channel the search does evaluate propagates,
-    such as the DomainError of a loss or power floor that overflows a float.
+    The coarse scan skips each block [a, b] of grid points that a
+    certificate proves to have rate 0 (`find_rate_cliff`), so the cliff is
+    that of the plain top-down scan. Its proof obligations, for every d in
+    [a, b]:
+
+    - Budget on: the classical link cannot close at a. Feasibility holds on
+      a prefix: every attenuation lies in (0, 1) dB/km and every insertion
+      loss is >= 0, so with round-to-nearest arithmetic the power needed
+      never decreases with d, while the launch power in use is the cap or
+      min(needed, cap). A block that closes at b closes throughout, and is
+      scanned point by point; one that closes at a but not at b is split.
+    - Budget off: the rate is 0 on a box that holds (eta(d), Y0(d)). eta(d)
+      lies in [eta(b), eta(a)], and as the launch power never decreases,
+      Y0(d) is at least the Y0 of SRS(a) 10^(-alpha (b - a) / 10).
+      `decoy._rate_bound` proves the rate 0 on that box for mu <= 1, with a
+      margin of 1e-12 times the single-photon term plus the rounding scale
+      of the gains, far above the ulps by which that Y0 can exceed Y0(d).
+      It is used only when no channel on [0, to_km] can raise: both losses
+      and the launch power in mW at to_km are finite, and so is that power
+      * rho * to_km. Otherwise the search is the plain scan.
+
+    The budget-on search has no rate bound: on the presets at most 25 grid
+    points lie between the rate-only and the classical cliff, where testing
+    the bound cost more than the evaluations it saved. Without the budget
+    the search raises where the plain scan does. With it, an error from a
+    channel the search evaluates propagates (a loss or power floor that
+    overflows a float, a launch power whose milliwatts overflow); a point
+    above the classical cliff is skipped.
     """
     if from_km < 0.0:
         raise ConfigError(f"link length must be >= 0 km, got {from_km}")
-    channel, key = _resolve(scenario)
+    channel, key, certificate = _resolve(scenario)
 
     def rate(d: float) -> float:
         _, _, _, _, _, y0, eta, feasible = channel(d)
@@ -419,13 +474,8 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
             return 0.0
         return key(eta, y0)[7]
 
-    feasible = None
-    if require_classical_feasible:
-        def feasible(d: float) -> bool:
-            return channel(d)[7]
-
     return find_rate_cliff(rate, from_km, to_km, coarse_step_km, resolution_km,
-                           feasible)
+                           certificate(to_km, require_classical_feasible))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +577,7 @@ def _calibration_points(scenarios: Sequence[Scenario],
     q_sift, clock_hz and p_mu; the log of its target rate; and its QBER."""
     points = []
     for scen, tgt in zip(scenarios, targets):
-        channel, key = _resolve(scen)
+        channel, key, _ = _resolve(scen)
         _, _, _, _, _, y0, eta, _ = channel(tgt.distance_km)
         intensities, protocol = scen.intensities, scen.protocol
         prefix, emu_at, rest = _decoy_steps(intensities.mu, intensities.nu)

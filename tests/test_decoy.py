@@ -3,12 +3,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from qkdcoex import get_preset, scenario
 from qkdcoex.decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
                            DistanceResult, ProtocolParams, _kernel,
+                           _rate_bound,
                            background_yield, binary_entropy, dbm_to_mw, e1_upper_bound,
                            find_rate_cliff, gain_and_qber, key_rate_details,
                            max_secure_distance_km, secure_key_rate_bps,
@@ -82,6 +83,12 @@ class TestTypes:
         # and True would count as one detector.
         with pytest.raises(ConfigError, match="num_detectors must be an int"):
             DetectorSpec(num_detectors=count)
+
+    @pytest.mark.parametrize("size", [2.5, 500000.0, -1, 0, True, "4", None])
+    def test_block_size_must_be_a_positive_int(self, size):
+        with pytest.raises(ConfigError,
+                           match="block_size_bits must be an int >= 1"):
+            ProtocolParams(block_size_bits=size)
 
     def test_protocol_ranges(self):
         with pytest.raises(ConfigError):
@@ -481,6 +488,102 @@ class TestTopDownScan:
         assert calls == []
         max_secure_distance(get_preset("smf"), from_km=0.0)
         assert calls
+
+
+_Y0_MAX = math.nextafter(1.0, 0.0)
+_UNIT = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+class TestRateBound:
+    """`decoy._rate_bound`, the rate bound of the cliff search's
+    certificate: where it says zero on [eta_lo, eta_hi] x [y0, 1), the
+    kernel's key rate is 0 at every point of that box, on the kernel's
+    validated domain (mu <= 1, where the bound is defined)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mu=st.one_of(st.floats(1e-6, 1.0), st.sampled_from((0.4, 1.0)),
+                        st.floats(1.0, 30.0)),
+           nu_share=st.one_of(st.floats(1e-9, 1.0, exclude_max=True),
+                              st.sampled_from((0.5, 1e-6, 1.0 - 1e-9))),
+           ed=st.one_of(st.sampled_from((0.0, 0.033)),
+                        st.floats(0.0, 0.5, exclude_max=True)),
+           f=st.one_of(st.sampled_from((1.0, 1.16)), st.floats(1.0, 1e6)),
+           eta_hi=st.one_of(_UNIT, st.floats(1e-12, 1e-3)),
+           lo_share=_UNIT,
+           y0=st.one_of(st.sampled_from((0.0, 5e-324)),
+                        st.floats(0.0, _Y0_MAX), st.floats(0.0, 1e-6)),
+           to_boundary=st.booleans(),
+           points=st.lists(st.tuples(_UNIT, _UNIT), max_size=6))
+    # Y1L clamped at 1 near eta = 1: the rate is 0 at eta 0.999 but not at
+    # 0.95, so a bound that took the EC term at eta_hi would be unsound.
+    @example(mu=0.45417187347698196, nu_share=0.675246, ed=0.0, f=1.0,
+             eta_hi=0.999, lo_share=0.95, y0=0.08627869631223296,
+             to_boundary=True, points=[(0.0, 0.0), (1.0, 0.0)])
+    # e1U clamped at 0.5: the single-photon term is 0
+    @example(mu=0.4, nu_share=0.5, ed=0.033, f=1.16, eta_hi=1e-6,
+             lo_share=0.5, y0=1e-3, to_boundary=False,
+             points=[(0.0, 0.0), (1.0, 0.0), (0.5, 1e-9)])
+    # a dark, noiseless channel, where the Y1 bound vanishes; at a
+    # subnormal Y0 above it the rounded rate is positive
+    @example(mu=0.017898753310650845, nu_share=0.98165, ed=0.2086763700070,
+             f=1.0000055752512582, eta_hi=0.0, lo_share=1.0, y0=0.0,
+             to_boundary=False, points=[(0.0, 5e-324)])
+    # subnormal Y0s, where rounding makes the rate positive
+    @example(mu=0.3867172489510684, nu_share=0.9884683237703445, ed=0.0,
+             f=1.955681872532439, eta_hi=0.0, lo_share=1.0, y0=2.37e-322,
+             to_boundary=False, points=[(0.0, 1.19e-322)])
+    # nu within 1e-9 of mu: the Y1 bound cancels to a few digits
+    @example(mu=0.9, nu_share=1.0 - 1e-9, ed=0.0, f=1.0, eta_hi=0.1,
+             lo_share=1.0, y0=1e-9, to_boundary=True,
+             points=[(1.0, 1e-12), (0.0, 0.0)])
+    # a huge EC efficiency, whose H2(Emu) is only good to about an ulp
+    @example(mu=0.7457909017336393, nu_share=0.41056001816340365, ed=0.0,
+             f=939383.8934965916, eta_hi=0.15723208906492403,
+             lo_share=0.9999999999999452, y0=3.75494461875147e-09,
+             to_boundary=False, points=[])
+    def test_zero_means_zero_on_the_box(self, mu, nu_share, ed, f, eta_hi,
+                                        lo_share, y0, to_boundary, points):
+        try:
+            intensities = DecoyIntensities(mu=mu, nu=mu * nu_share)
+        except ConfigError:
+            assume(False)
+        prm = params(ed, f)
+        zero, key = _rate_bound(intensities, prm), _kernel(intensities, prm)
+        if mu > 1.0:
+            assert zero is None
+            return
+        eta_lo = eta_hi * lo_share
+        if (to_boundary and not zero(eta_lo, eta_hi, y0)
+                and zero(eta_lo, eta_hi, _Y0_MAX)):
+            # the smallest y0 the bound certifies, to an ulp
+            lo, hi = y0, _Y0_MAX
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if zero(eta_lo, eta_hi, mid) else (mid, hi)
+            y0 = hi
+        if not zero(eta_lo, eta_hi, y0):
+            return
+        for t, v in [(0.0, 0.0), (1.0, 0.0), *points]:
+            eta = min(eta_hi, eta_lo + (eta_hi - eta_lo) * t)
+            for y in (y0, min(_Y0_MAX, math.nextafter(y0, 1.0)),
+                      min(_Y0_MAX, y0 + (_Y0_MAX - y0) * v)):
+                assert key(eta, y)[7] == 0.0, (eta, y)
+
+    def test_sign_of_the_rate_is_not_monotone_in_eta(self):
+        # Why the bound takes the EC term at eta_lo: with Y1L clamped at 1
+        # the single-photon term stops growing, and the rate that is 0 at
+        # eta 0.999 is positive at 0.95.
+        intensities = DecoyIntensities(mu=0.45417187347698196,
+                                       nu=0.3066791656431764)
+        prm, y0 = params(0.0, 1.0), 0.08627869631223296
+        key, zero = _kernel(intensities, prm), _rate_bound(intensities, prm)
+        assert key(0.999, y0)[7] == 0.0 and zero(0.999, 0.999, y0)
+        assert key(0.95, y0)[7] > 0.0
+        assert not zero(0.95, 0.999, y0)
+
+    def test_undefined_above_mu_1(self):
+        assert _rate_bound(DecoyIntensities(mu=1.5, nu=0.2), PARAMS) is None
+        assert _rate_bound(DecoyIntensities(mu=1.0, nu=0.2), PARAMS)
 
 
 class TestBackgroundYield:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import random
 import re
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from qkdcoex import config
 from qkdcoex import scenario as scenario_mod
 from qkdcoex.config import load_scenario, load_sweep
 from qkdcoex.decoy import (DecoyIntensities, DistanceResult, background_yield,
-                           dbm_to_mw)
+                           dbm_to_mw, find_rate_cliff)
 from qkdcoex.errors import (CalibrationError, ConfigError, DomainError,
                             NoSecureDistanceError, QkdCoexError)
 from qkdcoex.link import (Band, FiberSpec, Mode, SchemeName, _path,
@@ -36,6 +37,7 @@ from qkdcoex.scenario import (ED_BOUNDS, ED_STEP, F_BOUNDS, F_STEP,
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "qkdbench"))
 import inputs  # noqa: E402
+from test_golden import FIG4_CLIFFS, MAX_DISTANCE_RANGES  # noqa: E402
 
 EXPECTED_HEADER = ("distance_km,launch_power_dbm,quantum_loss_db,"
                    "classical_loss_db,srs_rate_cps,y0,q_mu,e_mu,y1_lower,"
@@ -370,7 +372,7 @@ def _cell_objective(scenarios, targets, ed, f):
     target, as the per-cell grid search computed it."""
     total = 0.0
     for scenario, target in zip(scenarios, targets):
-        channel, key = _resolve(scenario)
+        channel, key, _ = _resolve(scenario)
         _, _, _, _, _, y0, eta, _ = channel(target.distance_km)
         _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
         if rate <= 0.0:
@@ -410,7 +412,7 @@ def _full_scan_calibrate(scenarios, targets):
 
     residuals = []
     for scenario, target in zip(scenarios, targets):
-        channel, key = _resolve(scenario)
+        channel, key, _ = _resolve(scenario)
         _, _, _, _, _, y0, eta, _ = channel(target.distance_km)
         _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
         residuals.append(TargetResidual(scenario.name, target.distance_km,
@@ -790,7 +792,7 @@ def _bits(*values):
 def test_channel_matches_public_helpers(scenario, d):
     """`channel(d)` binds its constants once; every field carries the bits
     of the public functions that state each step."""
-    channel, _ = _resolve(scenario)
+    channel, _, _ = _resolve(scenario)
     q_loss, c_loss, needed, launch, srs, y0, eta, feasible = channel(d)
     link = replace(scenario.link, length_km=d)
     assert _bits(q_loss, c_loss) == _bits(total_loss_db(link, Band.QUANTUM),
@@ -816,7 +818,7 @@ def _unclipped_search(scenario, from_km, to_km, coarse_step_km,
     """`max_secure_distance` without the clip: every coarse grid point is
     evaluated from the top down, those above the classical cliff included,
     until the first positive rate; the bisection then refines above it."""
-    channel, key = _resolve(scenario)
+    channel, key, _ = _resolve(scenario)
 
     def rate(d):
         _, _, _, _, _, y0, eta, feasible = channel(d)
@@ -923,7 +925,7 @@ class TestClippedSearch:
         resolve = scenario_mod._resolve
 
         def counted(scenario):
-            channel, key = resolve(scenario)
+            channel, key, certificate = resolve(scenario)
 
             def counted_channel(d):
                 channel_at.append(d)
@@ -932,7 +934,15 @@ class TestClippedSearch:
             def counted_key(*args):
                 key_at.append(channel_at[-1])
                 return key(*args)
-            return counted_channel, counted_key
+
+            def counted_certificate(*args):
+                zero_on = certificate(*args)
+
+                def counted_zero_on(a, b):
+                    channel_at.append(a)    # the certificate's channel(a)
+                    return zero_on(a, b)
+                return counted_zero_on
+            return counted_channel, counted_key, counted_certificate
 
         monkeypatch.setattr(scenario_mod, "_resolve", counted)
         result = max_secure_distance(get_preset("lp02in"), 0.0, 300.0)
@@ -940,3 +950,154 @@ class TestClippedSearch:
         assert key_at and max(key_at) <= 91.44
         # 217 without the clip: every coarse point from 300 km down
         assert len(channel_at) < 30
+
+
+def _plain_search(scenario, from_km, to_km, budget):
+    """`max_secure_distance` without its certificate: `find_rate_cliff`'s
+    plain top-down scan of the rate, which is 0 where the classical link
+    cannot close."""
+    channel, key, _ = _resolve(scenario)
+
+    def rate(d):
+        _, _, _, _, _, y0, eta, feasible = channel(d)
+        return 0.0 if budget and not feasible else key(eta, y0)[7]
+    return find_rate_cliff(rate, from_km, to_km)
+
+
+def _exact_outcome(search, *args):
+    """The result's bits, or the exception's type and message."""
+    try:
+        result = search(*args)
+    except QkdCoexError as exc:
+        return type(exc), str(exc)
+    return result.distance_km.hex(), result.at_upper_boundary
+
+
+def _certified(scenario, from_km, to_km, budget):
+    return max_secure_distance(scenario, from_km, to_km,
+                               require_classical_feasible=budget)
+
+
+_SMF = get_preset("smf")
+
+
+def _seeded_ini_scenarios(count, seed):
+    """`count` INI scenarios of the benchmark's generator, each with a
+    search range like the benchmark's (a start in [0, 40] km, 300 km long)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text, _ = inputs._ini_scenario(
+            rng, rng.choice(("smf", "lp01in", "lp02in")), rng.random() < 0.5,
+            rng.choice(("quantum", "classical")), rng.choice(("clock", "gate")),
+            rng.random() < 0.5)
+        from_km = round(rng.uniform(0.0, 40.0), 2)
+        yield _load_ini(text), from_km, from_km + 300.0
+
+
+class TestCertifiedSearch:
+    """The cliff search skips blocks its certificate proves to have rate 0;
+    its outcome must be that of the plain scan, bit for bit."""
+
+    @pytest.mark.parametrize("budget", [True, False])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets_match_plain_scan(self, name, budget):
+        scenario = get_preset(name)
+        for from_km, to_km in [(0.0, 300.0), *MAX_DISTANCE_RANGES]:
+            args = (scenario, float(from_km), float(to_km), budget)
+            assert (_exact_outcome(_certified, *args)
+                    == _exact_outcome(_plain_search, *args)), args
+
+    def test_ini_scenarios_match_plain_scan(self):
+        searches = 0
+        for scenario, from_km, to_km in _seeded_ini_scenarios(320, 22):
+            for budget in (True, False):
+                for lo, hi in ((0.0, 300.0), (from_km, to_km)):
+                    args = (scenario, lo, hi, budget)
+                    assert (_exact_outcome(_certified, *args)
+                            == _exact_outcome(_plain_search, *args)), args
+                    searches += 1
+        assert searches == 1280
+
+    @settings(deadline=None)
+    @given(scenario=_SCENARIOS, data=st.data())
+    def test_link_test_is_channel_feasibility(self, scenario, data):
+        # The budget-on certificate tests the classical link without the
+        # rest of the channel; at a single point it must agree with it.
+        cliff = _classical_cliff_km(scenario)
+        d = data.draw(st.one_of(
+            st.floats(0.0, 400.0),
+            st.floats(-1e-6, 1e-6).map(lambda x: max(0.0, cliff + x))))
+        channel, _, certificate = _resolve(scenario)
+        assert (certificate(400.0, True)(d, d) is True) is (not channel(d)[7])
+
+    # Two links whose rate is 0 near the start of the range, positive
+    # further on and 0 again past the cliff. A certificate that took the
+    # EC term at eta(a), or the Y0 at SRS(a), would skip the positive points.
+    @pytest.mark.parametrize("link, expected", [
+        # eta near 1 with a lossless link: Y1L clamps at 1, so the rate is 0
+        # at eta(0) = 1 but positive at eta 0.95
+        (dict(link=replace(_SMF.link, fiber=FiberSpec.smf(0.00235, 0.00235),
+                           quantum_path_components=(),
+                           classical_path_components=()),
+              raman=replace(_SMF.raman, rho_cps_per_mw_km=1e-30),
+              detector=replace(_SMF.detector, efficiency=1.0,
+                               dark_count_per_gate=0.0108),
+              protocol=replace(_SMF.protocol, misalignment_error=0.0,
+                               ec_efficiency=1.0),
+              intensities=DecoyIntensities(mu=0.45417187347698196,
+                                           nu=0.3066791656431764)),
+         "124.09"),
+        # Raman noise that decays at 0.5 dB/km: past its peak near 8.7 km,
+        # SRS(d) falls below SRS(a)
+        (dict(link=replace(_SMF.link, fiber=FiberSpec.smf(0.2, 0.5)),
+              raman=replace(_SMF.raman, rho_cps_per_mw_km=52480746.02497728),
+              raman_alpha_basis=Band.CLASSICAL),
+         "149.91"),
+    ])
+    def test_rate_positive_inside_a_block_with_zero_ends(self, link,
+                                                          expected):
+        scenario = replace(_SMF, **link)
+        result = max_secure_distance(scenario, require_classical_feasible=False)
+        assert f"{result.distance_km:.2f}" == expected
+        for budget in (True, False):
+            args = (scenario, 0.0, 300.0, budget)
+            assert (_exact_outcome(_certified, *args)
+                    == _exact_outcome(_plain_search, *args))
+
+    # The plain scan evaluates the rate at every coarse point above the
+    # cliff: 96-220 of them per preset over [0, 300] km with the budget off.
+    # With the budget on it evaluates the channel at every point above the
+    # classical cliff.
+    @pytest.mark.parametrize("budget", [True, False])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_work_is_bounded(self, name, budget, monkeypatch):
+        rate_calls, certificate_calls = [], []
+        search = scenario_mod.find_rate_cliff
+
+        def counting(rate_fn, *args):
+            *args, zero_on = args
+            assert zero_on is not None
+
+            def rate(d):
+                rate_calls.append(d)
+                return rate_fn(d)
+
+            def certified(a, b):
+                certificate_calls.append((a, b))
+                return zero_on(a, b)
+            return search(rate, *args, certified)
+
+        monkeypatch.setattr(scenario_mod, "find_rate_cliff", counting)
+        result = max_secure_distance(get_preset(name), 0.0, 300.0,
+                                     require_classical_feasible=budget)
+        assert f"{result.distance_km:.2f}" == FIG4_CLIFFS[name][not budget]
+        if budget:
+            # 13-16 tests of the classical link, about 2 per level of the
+            # 301-point grid, and no rate evaluated past the classical cliff
+            assert len(certificate_calls) <= 20
+            assert max(rate_calls) <= _classical_cliff_km(get_preset(name)) + 1
+        else:
+            # 10-13 rate evaluations (7 of them the bisection) and 23-37
+            # tests, single points included
+            assert len(rate_calls) <= 16
+            assert len(certificate_calls) <= 45
