@@ -35,6 +35,10 @@ _E0 = 0.5
 # Largest signal intensity mu: e^mu <= float max / e, so that Q * e^mu stays
 # finite for every gain Q = Y0 + 1 - e^(-eta*mu) < 2.
 _MU_MAX = math.log(sys.float_info.max) - 1.0
+# A positive Y1 bound from a decoy gain Qnu below this is rounding noise of
+# subnormal gains (Qnu <= Qmu, so it covers both), not a yield: it is
+# taken as a vanished bound, 0.0, as a raw bound of exactly 0.0 is.
+_GAIN_MIN = sys.float_info.min
 # Largest distance grid a sweep or a cliff search builds; a larger one is
 # rejected before anything is evaluated.
 _MAX_GRID_POINTS = 1_000_000
@@ -207,7 +211,7 @@ def _decoy_steps(mu: float, nu: float):
     computed once:
 
     - `prefix(eta, y0)`: (signal_mu, Qmu, signal_nu, Qnu, E0*Y0, Y1L, clamp
-      events), with Y1L clamped to [0, 1];
+      events), with Y1L clamped to [0, 1] and 0.0 from a subnormal Qnu;
     - `emu_at(p, ed)`: Emu, from a prefix `p`;
     - `rest(p, ed, emu)`: (Qmu, Emu, Qnu, Enu, Y1L, e1U, clamp events,
       terms), where `terms` = (-Qmu, H2(Emu), Q1 * (1 - H2(e1U))) feeds
@@ -234,12 +238,15 @@ def _decoy_steps(mu: float, nu: float):
         qmu = y0 + signal_mu
         signal_nu = -expm1(-eta * nu)
         qnu = y0 + signal_nu
-        # A raw bound of exactly +-0.0 is returned unclamped, as
-        # `y1_lower_bound` does; `rest` then counts one clamp event.
+        # A raw bound of exactly +-0.0 is returned unclamped, and one from
+        # subnormal gains as 0.0, as `y1_lower_bound` does; `rest` then
+        # counts one clamp event.
         y1 = scale * (qnu * e_nu - qmu * e_mu * nu2 / mu2 - vacuum * y0)
         clamps = 0
         if y1 < 0.0:
             y1, clamps = 0.0, 1
+        elif qnu < _GAIN_MIN and y1 > 0.0:
+            y1 = 0.0
         elif y1 > 1.0:
             y1, clamps = 1.0, 1
         return signal_mu, qmu, signal_nu, qnu, _E0 * y0, y1, clamps
@@ -372,7 +379,7 @@ def gain_and_qber(intensity: float, ch: ChannelPoint,
 def y1_lower_bound(q_mu: float, q_nu: float, intensities: DecoyIntensities,
                    y0: float) -> float:
     """Lower bound on the single-photon yield from the signal and decoy
-    gains, clamped to [0, 1]."""
+    gains, clamped to [0, 1]; 0.0 when q_nu is subnormal (`_GAIN_MIN`)."""
     mu, nu = intensities.mu, intensities.nu
     raw = (mu / (mu * nu - nu * nu)) * (
         q_nu * math.exp(nu)
@@ -382,7 +389,7 @@ def y1_lower_bound(q_mu: float, q_nu: float, intensities: DecoyIntensities,
     if math.isnan(raw):
         raise DomainError(f"yield bound is undefined at gains {q_mu}, {q_nu} "
                           f"and Y0 {y0}")
-    if raw < 0.0:
+    if raw < 0.0 or (q_nu < _GAIN_MIN and raw > 0.0):
         return 0.0
     if raw > 1.0:
         return 1.0

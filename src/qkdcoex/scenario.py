@@ -651,22 +651,18 @@ def calibrate(scenarios: Sequence[Scenario],
     within one grid cell of the best point.
 
     What depends on a target's (eta, y0) alone is computed once
-    (`_calibration_points`). The grid is searched by row, branch and bound:
-    a row's lower bound needs each target's Emu at its e_d only
-    (`_lower_bound`), and the rest of the f-independent part of the rate
-    is computed only for a row that is evaluated (`_row_terms`). The
-    pilot row, the one with the smallest lower bound, is evaluated in full;
-    its minimum U is a grid value, so no cell above U can be the minimum.
-    Rows are then scanned in order, skipping a row whose lower bound is
-    above U or not below the best so far, and each cell stops adding
-    targets once its total is above U or not below the best at the row's
-    start. This is exact for two reasons. Every target's term is >= 0 and
-    float addition is monotone, so a partial sum never exceeds the cell's
-    objective. And a cell replaces the best only when strictly smaller, so
-    ties go to the first cell in row-major order, which no skipped cell
-    could be. The report keeps the bits of the full scan. The golden-section steps use exact values: a
-    step in e_d evaluates its one cell (`_cell`), and the steps in f reuse
-    the row of their e_d.
+    (`_calibration_points`). The grid is a best-first branch and bound
+    over rows with one cut, just above the best cell so far. Rows are
+    visited in ascending (`_lower_bound`, index) order, and the search
+    stops at the first row whose bound reaches the cut; a visited row's
+    f-independent terms come from `_row_terms`, and each cell stops adding
+    targets once its total reaches the cut (`_cell`). Every target's term
+    is >= 0 and float addition is monotone, so what the cut drops is above
+    the best, while a cell equal to the best keeps its bits. It replaces
+    the best when its row comes first, so ties go to the first cell in
+    row-major order, and the report keeps the bits of the full scan. The
+    golden-section steps use exact values: a step in e_d evaluates its one
+    cell, and the steps in f reuse the row of their e_d.
     """
     if not targets:
         raise ConfigError("calibration needs at least one target")
@@ -681,29 +677,24 @@ def calibrate(scenarios: Sequence[Scenario],
     fs = [F_BOUNDS[0] + j * F_STEP for j in range(n_f)]
     eds = [ED_BOUNDS[0] + i * ED_STEP for i in range(n_ed)]
     lower_bounds = [_lower_bound(points, ed) for ed in eds]
-    pilot = min(range(n_ed), key=lower_bounds.__getitem__)
-    pilot_row = _row_terms(points, eds[pilot])
-    pilot_values = [_cell(pilot_row, f) for f in fs]
-    above_pilot = math.nextafter(min(pilot_values), math.inf)
-    best = (math.inf, ED_BOUNDS[0], F_BOUNDS[0])
-    for i, (ed, lower_bound) in enumerate(zip(eds, lower_bounds)):
-        bound = min(above_pilot, best[0])
-        if lower_bound >= bound:
-            continue
-        values = pilot_values
-        if i != pilot:
-            row = _row_terms(points, ed)
-            values = [_cell(row, f, bound) for f in fs]
-        for value, f in zip(values, fs):
-            if value < best[0]:
-                best = (value, ed, f)
-    if not math.isfinite(best[0]):
+    best, best_i, best_f = math.inf, 0, F_BOUNDS[0]
+    cut = math.inf
+    for i in sorted(range(n_ed), key=lambda i: (lower_bounds[i], i)):
+        if lower_bounds[i] >= cut:
+            break
+        row = _row_terms(points, eds[i])
+        for f in fs:
+            value = _cell(row, f, cut)
+            if value < best or (value == best and i < best_i):
+                best, best_i, best_f = value, i, f
+                cut = math.nextafter(best, math.inf)
+    if not math.isfinite(best):
         raise CalibrationError(
             f"objective non-finite over the whole grid "
             f"({n_ed}x{n_f} points); the key rate is zero at every target"
         )
 
-    _, ed, f = best
+    ed, f = eds[best_i], best_f
     for _ in range(3):
         ed = _golden_min(lambda x: _cell(_row_terms(points, x), f),
                          max(ED_BOUNDS[0], ed - ED_STEP),
@@ -713,9 +704,8 @@ def calibrate(scenarios: Sequence[Scenario],
                         max(F_BOUNDS[0], f - F_STEP),
                         min(F_BOUNDS[1], f + F_STEP))
     refined = _cell(row, f)
-    if refined > best[0]:
-        _, ed, f = best
-        refined = best[0]
+    if refined > best:
+        ed, f, refined = eds[best_i], best_f, best
 
     residuals = []
     for scen, tgt, (key, (eta, y0), *_) in zip(scenarios, targets, points):

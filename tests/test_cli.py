@@ -116,6 +116,20 @@ def test_max_distance_no_secure_range_exit_2(capsys):
     assert "computation failed" in capsys.readouterr().err
 
 
+def test_max_distance_without_dark_counts(tmp_path, capsys):
+    # With no dark counts, the gains far past the cliff are subnormal; a Y1
+    # bound made of their rounding noise would give a positive rate as far
+    # out as 16956 km.
+    path = tmp_path / "dark0.ini"
+    path.write_text(SCENARIO_INI + "\n[detector]\ndark_count_per_gate = 0\n",
+                    encoding="utf-8")
+    for to_km in ("300", "20000"):
+        assert main(["max-distance", "--scenario", str(path), "--from-km", "0",
+                     "--to-km", to_km, "--ignore-classical-budget"]) == 0
+        assert capsys.readouterr().out == (
+            "dark0: max secure distance 245.85 km\n")
+
+
 def test_max_distance_overflowing_power_exit_1(tmp_path, capsys):
     # 10**(4000/10) mW overflows a float: a validation error, not a traceback.
     path = tmp_path / "hot.ini"

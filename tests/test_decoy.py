@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -697,6 +698,28 @@ class TestBoundKernel:
         assert _bits(e1, r, clamps) == _bits(expected_e1, expected_r,
                                              expected_clamps)
         assert _bits(rate) == _bits(r * prm.clock_hz * intensities.p_mu)
+
+    @given(eta=st.floats(0.0, 1e-310), y0=st.floats(0.0, 1e-310),
+           mu=st.floats(1e-3, 30.0), nu_share=st.floats(1e-3, 0.999),
+           ed=st.floats(0.0, 0.4999), f=st.floats(1.0, 2.0))
+    # no signal and a subnormal Y0: E0 * Y0 underflows, so Emu = 0 and the
+    # EC term vanishes, while the raw Y1 bound is a positive subnormal
+    @example(eta=0.0, y0=5e-324, mu=0.017898753310650845, nu_share=0.98165,
+             ed=0.208676370007, f=1.0000055752512582)
+    def test_subnormal_gains_give_no_key(self, eta, y0, mu, nu_share, ed, f):
+        # A Y1 bound from a subnormal decoy gain is rounding noise: it
+        # vanishes, with one clamp event, and so does the key rate.
+        try:
+            intensities = DecoyIntensities(mu=mu, nu=mu * nu_share)
+        except ConfigError:
+            assume(False)
+        qmu, _, qnu, _, y1, e1, r, rate, clamps = _kernel(
+            intensities, params(ed, f))(eta, y0)
+        assert qnu < sys.float_info.min
+        assert _bits(y1, e1, r, rate) == _bits(0.0, 0.5, 0.0, 0.0)
+        assert clamps == 1 + (_y1_lower(qmu, qnu, mu, intensities.nu, y0)[0]
+                              < 0.0)
+        assert y1_lower_bound(qmu, qnu, intensities, y0) == 0.0
 
     def test_raw_zero_yield_bound_is_unclamped(self):
         # A dark, noiseless channel: both gains are 0 and the raw Y1 bound

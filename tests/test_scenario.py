@@ -421,6 +421,39 @@ def _full_scan_calibrate(scenarios, targets):
     return CalibrationReport(ed, f, tuple(residuals), refined)
 
 
+class _GridDone(Exception):
+    """Raised at `calibrate`'s first golden-section step."""
+
+
+def _grid_work(monkeypatch, scenarios, targets):
+    """What `calibrate`'s grid phase does before its first golden-section
+    step, or before it raises: the target terms (`_rate_per_pulse` calls),
+    the rows (`_row_terms` calls), and the e_d bracket of that step, which
+    is one grid step either side of the grid's best e_d (None if it
+    raised)."""
+    work = [0, 0, None]
+
+    def counting(index, real):
+        def call(*args):
+            work[index] += 1
+            return real(*args)
+        return call
+
+    def stop(fn, lo, hi):
+        work[2] = (lo, hi)
+        raise _GridDone
+
+    monkeypatch.setattr(scenario_mod, "_rate_per_pulse",
+                        counting(0, scenario_mod._rate_per_pulse))
+    monkeypatch.setattr(scenario_mod, "_row_terms",
+                        counting(1, scenario_mod._row_terms))
+    monkeypatch.setattr(scenario_mod, "_golden_min", stop)
+    with pytest.raises((_GridDone, CalibrationError)):
+        calibrate(scenarios, targets)
+    monkeypatch.undo()
+    return tuple(work)
+
+
 def _calibration_targets():
     """1-3 targets as (preset, mu, distance_km, key_rate_bps, qber); a mu
     of 3 makes the yield bound vanish at short distances."""
@@ -625,6 +658,47 @@ class TestCalibration:
         assert (report.misalignment_error, report.ec_efficiency,
                 report.objective) == (0.0, 1.0, 0.0)
         assert repr(report) == repr(_full_scan_calibrate([scenario], targets))
+
+    def test_ties_across_rows_go_to_the_first_row(self, monkeypatch):
+        # Every row made the same, so its minimum is in all of them, and
+        # visited from the last: a lower bound of low - e_d orders the rows
+        # backwards, and the first row's bound is the minimum itself, which
+        # a cut at the best instead of just above it would drop.
+        scenarios = [get_preset(name) for name, _ in REFERENCE_TARGETS]
+        targets = [t for _, t in REFERENCE_TARGETS]
+        row = _row_terms(_calibration_points(scenarios, targets), 0.03)
+        low = min(_cell(row, f) for f in _GRID_F)
+        monkeypatch.setattr(scenario_mod, "_row_terms", lambda points, ed: row)
+        monkeypatch.setattr(scenario_mod, "_lower_bound",
+                            lambda points, ed: low - ed)
+        _, rows, bracket = _grid_work(monkeypatch, scenarios, targets)
+        assert (rows, bracket) == (51, (ED_BOUNDS[0], ED_STEP))
+
+    def test_grid_work_on_the_reference_targets(self, monkeypatch):
+        # Rows best first under one cut: 1,947 target terms in 22 rows.
+        terms, rows, _ = _grid_work(
+            monkeypatch, [get_preset(name) for name, _ in REFERENCE_TARGETS],
+            [t for _, t in REFERENCE_TARGETS])
+        assert terms <= 1947
+        assert rows <= 22
+
+    def test_grid_work_on_synthetic_targets(self, monkeypatch):
+        # The benchmark's synthetic target sets: at most 143 target terms
+        # each, where a first row evaluated in full is 153 on its own.
+        rng = random.Random(0)
+        for _ in range(60):
+            case = inputs._synthetic_calibration(rng)
+            terms, _, _ = _grid_work(
+                monkeypatch, [get_preset(name) for name in case["presets"]],
+                [CalibrationTarget(*t) for t in case["targets"]])
+            assert terms <= 143
+
+    def test_vanished_yield_bound_visits_no_row(self, monkeypatch):
+        # Every row's lower bound is inf, which reaches the first cut.
+        scenario = replace(get_preset("smf"),
+                           intensities=DecoyIntensities(mu=3.0))
+        assert _grid_work(monkeypatch, [scenario],
+                          [CalibrationTarget(20.0, 1e5, 0.02)]) == (0, 0, None)
 
     @settings(max_examples=40, deadline=None)
     @given(targets=st.lists(
