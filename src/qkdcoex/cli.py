@@ -53,6 +53,19 @@ def _emit(chunks, out: str | None):
         sys.stdout.writelines(chunks)
 
 
+def _add_output_args(parser: argparse.ArgumentParser, formats: tuple[str, ...]):
+    parser.add_argument("--out", metavar="PATH", default=None,
+                        help="output file (default: stdout)")
+    parser.add_argument("--format", choices=formats, default=formats[0])
+
+
+def _report(args, payload: dict, text: str):
+    """Write `payload` as JSON with `--format json`, else `text`."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    _emit([text], args.out)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qkdcoex",
                      description="QKD / classical coexistence simulator")
@@ -63,9 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from-km", type=float, default=None)
     p_sweep.add_argument("--to-km", type=float, default=None)
     p_sweep.add_argument("--step-km", type=float, default=None)
-    p_sweep.add_argument("--out", metavar="PATH", default=None,
-                         help="output file (default: stdout)")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_args(p_sweep, ("csv", "json"))
 
     p_max = sub.add_parser("max-distance",
                            help="largest distance with a positive key rate")
@@ -75,14 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_max.add_argument("--ignore-classical-budget", action="store_true",
                        help="rate-only cliff, even where the classical "
                             "channel cannot close")
-    p_max.add_argument("--out", metavar="PATH", default=None)
-    p_max.add_argument("--format", choices=("text", "json"), default="text")
+    _add_output_args(p_max, ("text", "json"))
 
     p_cal = sub.add_parser("calibrate",
                            help="fit shared (misalignment, EC efficiency) to "
                                 "the reference operating points")
-    p_cal.add_argument("--out", metavar="PATH", default=None)
-    p_cal.add_argument("--format", choices=("text", "json"), default="text")
+    _add_output_args(p_cal, ("text", "json"))
 
     p_fit = sub.add_parser("fit-raman",
                            help="least-squares Raman coefficient from a "
@@ -91,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV with header distance_km,power_mw,rate_cps")
     p_fit.add_argument("--alpha-db-per-km", type=float, required=True,
                        help="attenuation of the detected-noise path")
-    p_fit.add_argument("--out", metavar="PATH", default=None)
-    p_fit.add_argument("--format", choices=("text", "json"), default="text")
+    _add_output_args(p_fit, ("text", "json"))
 
     p_presets = sub.add_parser("presets", help="inspect built-in presets")
     p_presets.add_argument("action", choices=("list",))
@@ -123,17 +131,13 @@ def _cmd_max_distance(args) -> int:
         scenario, args.from_km, args.to_km,
         require_classical_feasible=not args.ignore_classical_budget,
     )
-    if args.format == "json":
-        text = json.dumps({
-            "scenario": scenario.name,
-            "max_secure_distance_km": result.distance_km,
-            "at_search_boundary": result.at_upper_boundary,
-        }, indent=2) + "\n"
-    else:
-        note = " (at search boundary)" if result.at_upper_boundary else ""
-        text = (f"{scenario.name}: max secure distance "
-                f"{result.distance_km:.2f} km{note}\n")
-    _emit([text], args.out)
+    note = " (at search boundary)" if result.at_upper_boundary else ""
+    _report(args, {
+        "scenario": scenario.name,
+        "max_secure_distance_km": result.distance_km,
+        "at_search_boundary": result.at_upper_boundary,
+    }, f"{scenario.name}: max secure distance "
+       f"{result.distance_km:.2f} km{note}\n")
     return 0
 
 
@@ -160,40 +164,32 @@ def _cmd_calibrate(args) -> int:
             for r in report.residuals
         ],
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [
-            f"misalignment_error = {report.misalignment_error:.6f}",
-            f"ec_efficiency      = {report.ec_efficiency:.6f}",
-            f"objective          = {report.objective:.6g}",
-        ]
-        for r in report.residuals:
-            lines.append(
-                f"{r.scenario:8s} @ {r.distance_km:5.1f} km: "
-                f"rate {r.key_rate_bps:10.1f} bps (target {r.target_rate_bps:.1f}, "
-                f"x{r.rate_ratio:.2f}), QBER {100 * r.qber:.2f}% "
-                f"(target {100 * r.target_qber:.2f}%, "
-                f"{100 * r.qber_delta:+.2f} pp)"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit([text], args.out)
+    lines = [
+        f"misalignment_error = {report.misalignment_error:.6f}",
+        f"ec_efficiency      = {report.ec_efficiency:.6f}",
+        f"objective          = {report.objective:.6g}",
+    ]
+    for r in report.residuals:
+        lines.append(
+            f"{r.scenario:8s} @ {r.distance_km:5.1f} km: "
+            f"rate {r.key_rate_bps:10.1f} bps (target {r.target_rate_bps:.1f}, "
+            f"x{r.rate_ratio:.2f}), QBER {100 * r.qber:.2f}% "
+            f"(target {100 * r.target_qber:.2f}%, "
+            f"{100 * r.qber_delta:+.2f} pp)"
+        )
+    _report(args, payload, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_fit_raman(args) -> int:
     measurements = read_measurements_csv(args.measurements)
     coeff = fit_raman_coefficient(measurements, args.alpha_db_per_km)
-    if args.format == "json":
-        text = json.dumps({
-            "rho_cps_per_mw_km": coeff.rho_cps_per_mw_km,
-            "alpha_db_per_km": args.alpha_db_per_km,
-            "points": len(measurements),
-        }, indent=2) + "\n"
-    else:
-        text = (f"rho = {coeff.rho_cps_per_mw_km:.6g} cps/(mW km) "
-                f"from {len(measurements)} measurement(s)\n")
-    _emit([text], args.out)
+    _report(args, {
+        "rho_cps_per_mw_km": coeff.rho_cps_per_mw_km,
+        "alpha_db_per_km": args.alpha_db_per_km,
+        "points": len(measurements),
+    }, f"rho = {coeff.rho_cps_per_mw_km:.6g} cps/(mW km) "
+       f"from {len(measurements)} measurement(s)\n")
     return 0
 
 

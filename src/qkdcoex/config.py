@@ -27,6 +27,20 @@ _FIELD_OF_KEY = {"error_correction_efficiency": "ec_efficiency",
                  "launch_power_dbm": "classical_launch_power_dbm"}
 
 
+def _boolean(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+# What `_Section.get` says a value it cannot read as `kind` is not; str
+# reads every value.
+_KIND_NAME = {float: "a number", int: "an integer", _boolean: "a boolean"}
+
+
 class _Section:
     """Typed reader for one INI section that tracks key consumption."""
 
@@ -35,56 +49,44 @@ class _Section:
         self._values = dict(values)
         self._seen: set[str] = set()
 
-    def _raw(self, key: str, required: bool = False) -> str | None:
+    def get(self, key: str, kind=float, required: bool = False):
+        """The value of `key` read as `kind` (float, int, str or
+        `_boolean`), or None when the section leaves it out."""
         self._seen.add(key)
-        if key in self._values:
-            return self._values[key]
-        if required:
-            raise ConfigError(f"[{self.name}] missing required key {key!r}")
-        return None
-
-    def get_float(self, key: str, required: bool = False) -> float | None:
-        raw = self._raw(key, required)
-        if raw is None:
+        if key not in self._values:
+            if required:
+                raise ConfigError(f"[{self.name}] missing required key {key!r}")
             return None
+        raw = self._values[key]
         try:
-            value = float(raw)
+            value = kind(raw)
         except ValueError:
-            raise ConfigError(
-                f"[{self.name}] {key} = {raw!r} is not a number"
-            ) from None
-        _require_finite(f"[{self.name}]", **{key: value})
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not "
+                              f"{_KIND_NAME[kind]}") from None
+        if kind is float:
+            _require_finite(f"[{self.name}]", **{key: value})
         return value
 
-    def get_int(self, key: str) -> int:
-        raw = self._raw(key)
+    def choice(self, key: str, parse, allowed: str, required: bool = False):
+        """`parse` of the stripped, lower-cased value of `key`, or None when
+        the section leaves it out; `allowed` names the values it takes."""
+        raw = self.get(key, str, required)
+        if raw is None:
+            return None
+        raw = raw.strip().lower()
         try:
-            return int(raw)
+            return parse(raw)
         except ValueError:
             raise ConfigError(
-                f"[{self.name}] {key} = {raw!r} is not an integer"
-            ) from None
-
-    def get_bool(self, key: str) -> bool:
-        raw = self._raw(key)
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean")
-
-    def get_str(self, key: str, required: bool = False) -> str | None:
-        return self._raw(key, required)
+                f"[{self.name}] {key} must be {allowed}, got {raw!r}") from None
 
     def has(self, key: str) -> bool:
         return key in self._values
 
-    def given(self, kind: type, *keys: str) -> dict:
+    def given(self, kind, *keys: str) -> dict:
         """Dataclass keyword arguments, read as `kind`, for those of `keys`
         this section sets; the fields of the others keep their defaults."""
-        get = {float: self.get_float, int: self.get_int, bool: self.get_bool}[kind]
-        return {_FIELD_OF_KEY.get(key, key): get(key)
+        return {_FIELD_OF_KEY.get(key, key): self.get(key, kind)
                 for key in keys if self.has(key)}
 
     def check_consumed(self):
@@ -115,43 +117,34 @@ def _read_ini(path: str | Path) -> dict[str, _Section]:
 
 
 def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
-    kind_raw = fiber.get_str("kind", required=True).strip().lower()
-    try:
-        kind = FiberKind(kind_raw)
-    except ValueError:
-        raise ConfigError(f"[fiber] kind must be smf or fmf, got {kind_raw!r}") from None
-    scheme_raw = fiber.get_str("scheme", required=True).strip().lower()
-    try:
-        scheme = MultiplexScheme.named(scheme_raw)
-    except (ValueError, KeyError):
-        raise ConfigError(
-            f"[fiber] scheme must be smf, lp01in or lp02in, got {scheme_raw!r}"
-        ) from None
+    kind = fiber.choice("kind", FiberKind, "smf or fmf", required=True)
+    scheme = fiber.choice("scheme", MultiplexScheme.named,
+                          "smf, lp01in or lp02in", required=True)
 
     if kind is FiberKind.SMF:
         link = _smf_link(
             attenuation=(
-                fiber.get_float("attenuation_quantum_db_per_km", required=True),
-                fiber.get_float("attenuation_classical_db_per_km", required=True)),
-            dwdm_il=(components.get_float("mux_il_db", required=True),
-                     components.get_float("demux_il_db", required=True)))
+                fiber.get("attenuation_quantum_db_per_km", required=True),
+                fiber.get("attenuation_classical_db_per_km", required=True)),
+            dwdm_il=(components.get("mux_il_db", required=True),
+                     components.get("demux_il_db", required=True)))
     else:
         link = _fmf_link(
             scheme.name,
             attenuation=(
-                fiber.get_float("attenuation_lp01_db_per_km", required=True),
-                fiber.get_float("attenuation_lp02_db_per_km", required=True)),
-            coupler_il=tuple(components.get_float(key, required=True) for key in (
+                fiber.get("attenuation_lp01_db_per_km", required=True),
+                fiber.get("attenuation_lp02_db_per_km", required=True)),
+            coupler_il=tuple(components.get(key, required=True) for key in (
                 "mux_il_lp01_db", "mux_il_lp02_db",
                 "demux_il_lp01_db", "demux_il_lp02_db")))
 
     quantum_path = link.quantum_path_components
     classical_path = link.classical_path_components
-    q_extra = components.get_float("quantum_extra_il_db")
+    q_extra = components.get("quantum_extra_il_db")
     if q_extra:
         quantum_path += (ComponentSpec(
             "quantum-extra", {scheme.quantum_mode: q_extra}, Side.TRANSMITTER),)
-    c_extra = components.get_float("classical_extra_il_db")
+    c_extra = components.get("classical_extra_il_db")
     if c_extra:
         classical_path += (ComponentSpec(
             "classical-extra", {scheme.classical_mode: c_extra}, Side.TRANSMITTER),)
@@ -178,21 +171,15 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
         **detector.given(float, "efficiency", "gate_hz", "dark_count_per_gate"),
         **detector.given(int, "num_detectors"))
     rho = RamanCoefficient(
-        raman.get_float("coefficient_cps_per_mw_km", required=True),
+        raman.get("coefficient_cps_per_mw_km", required=True),
         link.scheme.name,
     )
-    raman_options = {}
-    if raman.has("alpha_basis"):
-        alpha_basis_raw = raman.get_str("alpha_basis").strip().lower()
-        try:
-            raman_options["raman_alpha_basis"] = Band(alpha_basis_raw)
-        except ValueError:
-            raise ConfigError(
-                f"[raman] alpha_basis must be quantum or classical, got "
-                f"{alpha_basis_raw!r}"
-            ) from None
-    if raman.has("noise_divisor"):
-        raman_options["noise_divisor"] = raman.get_str("noise_divisor").strip().lower()
+    raman_options = {field: value for field, value in (
+        ("raman_alpha_basis",
+         raman.choice("alpha_basis", Band, "quantum or classical")),
+        # Any string: Scenario rejects a divisor other than clock or gate.
+        ("noise_divisor", raman.choice("noise_divisor", str, "clock or gate")),
+    ) if value is not None}
 
     scenario = Scenario(
         name=Path(path).stem,
@@ -202,7 +189,7 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
         protocol=protocol,
         intensities=intensities,
         **classical.given(float, "launch_power_dbm"),
-        **classical.given(bool, "adaptive_power"),
+        **classical.given(_boolean, "adaptive_power"),
         **classical.given(float, "receiver_sensitivity_dbm"),
         **raman_options,
     )
@@ -218,9 +205,9 @@ def _sweep_from(sections: dict[str, _Section]) -> SweepSpec | None:
         sweep.check_consumed()
         return None
     spec = SweepSpec(
-        from_km=sweep.get_float("from_km", required=True),
-        to_km=sweep.get_float("to_km", required=True),
-        step_km=sweep.get_float("step_km", required=True),
+        from_km=sweep.get("from_km", required=True),
+        to_km=sweep.get("to_km", required=True),
+        step_km=sweep.get("step_km", required=True),
     )
     sweep.check_consumed()
     return spec

@@ -64,8 +64,6 @@ class DecoyIntensities:
             )
         if self.omega != 0.0:
             raise ConfigError(f"vacuum intensity must be 0, got {self.omega}")
-        if self.nu <= 0.0:
-            raise ConfigError(f"decoy intensity must be > 0, got {self.nu}")
         probs = (self.p_mu, self.p_nu, self.p_omega)
         if any(p <= 0.0 for p in probs):
             raise ConfigError(f"emission probabilities must be > 0, got {probs}")

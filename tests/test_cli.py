@@ -225,6 +225,16 @@ def test_misspelled_sweep_key_exit_1(tmp_path, capsys):
         assert captured.err == "qkdcoex: [sweep] unknown key(s): to_kms\n"
 
 
+def test_unknown_fiber_kind_exit_1(tmp_path, capsys):
+    path = tmp_path / "xmf.ini"
+    path.write_text(SCENARIO_INI.replace("kind = smf", "kind = xmf"),
+                    encoding="utf-8")
+    assert main(["max-distance", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qkdcoex: [fiber] kind must be smf or fmf, got 'xmf'\n"
+
+
 def test_max_distance_below_float_resolution_exit_1(tmp_path, capsys):
     # With almost no attenuation and no Raman noise the cliff lies near
     # 7.1e13 km, where adjacent floats are 0.0156 km apart: the bisection

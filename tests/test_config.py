@@ -144,3 +144,67 @@ def test_misspelled_sweep_section_rejected(tmp_path):
     with pytest.raises(ConfigError,
                        match=re.escape("[sweep] unknown key(s): to_kms")):
         config.load_sweep(path)
+
+
+def _with(section, line):
+    """MANDATORY["smf"] with one more line in `section`, which may be one
+    the file already has."""
+    text = MANDATORY["smf"]
+    if f"[{section}]\n" in text:
+        return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    return text + f"\n[{section}]\n{line}\n"
+
+
+# (test id, file, exact ConfigError message)
+REJECTED = [
+    ("mu", _with("quantum", "mu = abc"), "[quantum] mu = 'abc' is not a number"),
+    ("mu-nan", _with("quantum", "mu = nan"), "[quantum] mu must be finite, got nan"),
+    ("block_size_bits", _with("quantum", "block_size_bits = 1.5"),
+     "[quantum] block_size_bits = '1.5' is not an integer"),
+    ("num_detectors", _with("detector", "num_detectors = x"),
+     "[detector] num_detectors = 'x' is not an integer"),
+    ("adaptive_power", _with("classical", "adaptive_power = maybe"),
+     "[classical] adaptive_power = 'maybe' is not a boolean"),
+    ("kind", MANDATORY["smf"].replace("kind = smf", "kind = xmf"),
+     "[fiber] kind must be smf or fmf, got 'xmf'"),
+    ("scheme", MANDATORY["smf"].replace("scheme = smf", "scheme = lp03in"),
+     "[fiber] scheme must be smf, lp01in or lp02in, got 'lp03in'"),
+    ("alpha_basis", _with("raman", "alpha_basis = pump"),
+     "[raman] alpha_basis must be quantum or classical, got 'pump'"),
+    # Scenario checks the divisor itself, with its own message.
+    ("noise_divisor", _with("raman", "noise_divisor = pulse"),
+     "noise divisor must be 'clock' or 'gate', got 'pulse'"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in REJECTED],
+                         ids=[key for key, *_ in REJECTED])
+def test_rejected_value_message(text, message, tmp_path):
+    with pytest.raises(ConfigError) as exc:
+        _load(tmp_path, text)
+    assert str(exc.value) == message
+
+
+def test_repeated_section_message(tmp_path):
+    text = MANDATORY["smf"] + "\n[fiber]\nkind = smf\n"
+    line = text.count("\n") - 1
+    with pytest.raises(ConfigError) as exc:
+        _load(tmp_path, text)
+    assert str(exc.value) == (
+        f"cannot parse scenario file: While reading from "
+        f"{str(tmp_path / 's.ini')!r} [line {line:2d}]: "
+        f"section 'fiber' already exists")
+
+
+@pytest.mark.parametrize("text, canonical", [
+    (_with("classical", "adaptive_power = ON"),
+     _with("classical", "adaptive_power = true")),
+    (MANDATORY["smf"].replace("kind = smf", "kind =  SMF "), MANDATORY["smf"]),
+    (MANDATORY["fmf"].replace("scheme = lp02in", "scheme = LP02-In"),
+     MANDATORY["fmf"]),
+    (_with("detector", "num_detectors =  3 "),
+     _with("detector", "num_detectors = 3")),
+], ids=["adaptive_power", "kind", "scheme", "num_detectors"])
+def test_accepted_spellings(text, canonical, tmp_path):
+    scenario, _ = _load(tmp_path, text)
+    assert repr(scenario) == repr(_load(tmp_path, canonical)[0])

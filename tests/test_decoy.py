@@ -64,6 +64,12 @@ class TestTypes:
         with pytest.raises(ConfigError):
             DecoyIntensities(mu=0.4, nu=0.0, omega=0.0)
 
+    @pytest.mark.parametrize("nu", [0.0, -0.0, -0.1])
+    def test_decoy_intensity_above_vacuum(self, nu):
+        with pytest.raises(ConfigError,
+                           match="intensities must satisfy mu > nu > omega"):
+            DecoyIntensities(nu=nu)
+
     def test_probabilities_sum(self):
         with pytest.raises(ConfigError):
             DecoyIntensities(p_mu=0.5, p_nu=0.25, p_omega=0.2)
@@ -195,6 +201,14 @@ class TestDecoyBounds:
         # nu = 0 divided by zero: a bare ZeroDivisionError, not a DomainError
         with pytest.raises(DomainError, match="decoy intensity must be > 0"):
             e1_upper_bound(0.1, 0.02, 0.0, 0.5, 1e-6)
+
+    @pytest.mark.parametrize("nu, y1", [
+        (800.0, 0.5),       # e^nu overflows
+        (0.1, 5e-324),      # y1 * nu underflows to 0
+    ])
+    def test_e1_undefined_on_overflow(self, nu, y1):
+        with pytest.raises(DomainError, match="error bound is undefined"):
+            e1_upper_bound(0.5, 0.5, nu, y1, 0.0)
 
     def test_degenerate_intensities_rejected(self):
         with pytest.raises(ConfigError):
