@@ -16,6 +16,7 @@ import json
 import math
 import operator
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
@@ -637,6 +638,34 @@ def _cell(row: list[tuple] | None, f: float,
     return total
 
 
+def _block_bound(row: list[tuple] | None, f_lo: float,
+                 f_hi: float) -> float:
+    """A lower bound on every cell of a `_row_terms` row with f in [f_lo,
+    f_hi], from each target's rate at the two ends; inf on a None row and
+    once a rate at f_lo is zero, as the rate is then zero over the block.
+    The rounded rate never rises with f (-Qmu <= 0, H2 >= 0, and q, clock
+    and p_mu are > 0), so over the block log r lies between log r(f_hi) and
+    log r(f_lo), each widened by one ulp, as `math.log` is faithful but
+    need not be monotone. A target's term is then at least max(0, L - log
+    r(f_lo), log r(f_hi) - L)^2 plus its QBER term; the square is the
+    cell's `** 2`, whose error is below the gap between adjacent squares.
+    The terms are added in target order, so float monotonicity keeps the
+    sum <= `_cell`."""
+    if row is None:
+        return math.inf
+    total = 0.0
+    for terms, q_sift, clock_hz, p_mu, log_rate, qber_term in row:
+        high = _rate_per_pulse(terms, f_lo, q_sift) * clock_hz * p_mu
+        if high <= 0.0:
+            return math.inf
+        low = _rate_per_pulse(terms, f_hi, q_sift) * clock_hz * p_mu
+        below = log_rate - math.nextafter(math.log(high), math.inf)
+        above = (math.nextafter(math.log(low), -math.inf) - log_rate
+                 if low > 0.0 else 0.0)
+        total += max(below, above, 0.0) ** 2 + qber_term
+    return total
+
+
 def calibrate(scenarios: Sequence[Scenario],
               targets: Sequence[CalibrationTarget]) -> CalibrationReport:
     """Fit the shared free parameters (misalignment error e_d, EC
@@ -651,18 +680,23 @@ def calibrate(scenarios: Sequence[Scenario],
     within one grid cell of the best point.
 
     What depends on a target's (eta, y0) alone is computed once
-    (`_calibration_points`). The grid is a best-first branch and bound
-    over rows with one cut, just above the best cell so far. Rows are
-    visited in ascending (`_lower_bound`, index) order, and the search
-    stops at the first row whose bound reaches the cut; a visited row's
-    f-independent terms come from `_row_terms`, and each cell stops adding
-    targets once its total reaches the cut (`_cell`). Every target's term
-    is >= 0 and float addition is monotone, so what the cut drops is above
-    the best, while a cell equal to the best keeps its bits. It replaces
-    the best when its row comes first, so ties go to the first cell in
-    row-major order, and the report keeps the bits of the full scan. The
-    golden-section steps use exact values: a step in e_d evaluates its one
-    cell, and the steps in f reuse the row of their e_d.
+    (`_calibration_points`). The grid is a best-first branch and bound with
+    one cut, just above the best cell so far. A node is a row, bounded by
+    its QBER terms (`_lower_bound`), or a block of f columns of a visited
+    row, bounded by `_block_bound`; the node with the smallest (bound, row,
+    first column) comes first, and the search stops once that bound reaches
+    the cut. A row's f-independent terms (`_row_terms`) are computed when
+    its node comes up, and its first block is the whole row. A block of
+    1-2 cells is evaluated, each cell stopping once its total reaches the
+    cut (`_cell`), and a larger one is split in two halves; a half of 1-2
+    cells keeps its parent's bound, as a bound would cost as much as its
+    cells. Every bound is <= each cell it covers, so what the cut drops is
+    above the best, while a cell equal to the best keeps its bits. The best
+    is the smallest (value, row, column), so ties go to the first cell in
+    row-major order in whatever order the blocks come up, and the report
+    keeps the bits of the full scan. The golden-section steps use exact
+    values: a step in e_d evaluates its one cell, and the steps in f reuse
+    the row of their e_d.
     """
     if not targets:
         raise ConfigError("calibration needs at least one target")
@@ -676,25 +710,43 @@ def calibrate(scenarios: Sequence[Scenario],
     n_f = int(round((F_BOUNDS[1] - F_BOUNDS[0]) / F_STEP)) + 1
     fs = [F_BOUNDS[0] + j * F_STEP for j in range(n_f)]
     eds = [ED_BOUNDS[0] + i * ED_STEP for i in range(n_ed)]
-    lower_bounds = [_lower_bound(points, ed) for ed in eds]
-    best, best_i, best_f = math.inf, 0, F_BOUNDS[0]
+    # Nodes (bound, row, first column, last column, the row's terms or None
+    # before it is built) in ascending order; (bound, row, first column) is
+    # unique, so no two nodes compare their terms. The frontier is small,
+    # so it is a sorted list: `bisect` is loaded already, where `heapq`
+    # would load one more extension module. Nodes that reach the cut are
+    # dropped as it tightens, and with them the rows only they hold.
+    nodes = sorted((_lower_bound(points, ed), i, 0, n_f - 1, None)
+                   for i, ed in enumerate(eds))
+    best = (math.inf, 0, 0)
     cut = math.inf
-    for i in sorted(range(n_ed), key=lambda i: (lower_bounds[i], i)):
-        if lower_bounds[i] >= cut:
-            break
-        row = _row_terms(points, eds[i])
-        for f in fs:
-            value = _cell(row, f, cut)
-            if value < best or (value == best and i < best_i):
-                best, best_i, best_f = value, i, f
-                cut = math.nextafter(best, math.inf)
+    while nodes and nodes[0][0] < cut:
+        bound, i, j0, j1, row = nodes.pop(0)
+        if row is None:
+            row = _row_terms(points, eds[i])
+            blocks = [(j0, j1)]
+        elif j1 - j0 < 2:
+            for j in range(j0, j1 + 1):
+                best = min(best, (_cell(row, fs[j], cut), i, j))
+            cut = math.nextafter(best[0], math.inf)
+            del nodes[bisect_left(nodes, (cut,)):]
+            continue
+        else:
+            mid = (j0 + j1) // 2
+            blocks = [(j0, mid), (mid + 1, j1)]
+        for lo, hi in blocks:
+            child = (_block_bound(row, fs[lo], fs[hi]) if hi - lo >= 2
+                     else bound)
+            if child < cut:
+                insort(nodes, (child, i, lo, hi, row))
+    best, best_i, best_j = best
     if not math.isfinite(best):
         raise CalibrationError(
             f"objective non-finite over the whole grid "
             f"({n_ed}x{n_f} points); the key rate is zero at every target"
         )
 
-    ed, f = eds[best_i], best_f
+    ed, f = eds[best_i], fs[best_j]
     for _ in range(3):
         ed = _golden_min(lambda x: _cell(_row_terms(points, x), f),
                          max(ED_BOUNDS[0], ed - ED_STEP),
@@ -705,7 +757,7 @@ def calibrate(scenarios: Sequence[Scenario],
                         min(F_BOUNDS[1], f + F_STEP))
     refined = _cell(row, f)
     if refined > best:
-        ed, f, refined = eds[best_i], best_f, best
+        ed, f, refined = eds[best_i], fs[best_j], best
 
     residuals = []
     for scen, tgt, (key, (eta, y0), *_) in zip(scenarios, targets, points):

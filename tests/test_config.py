@@ -204,7 +204,14 @@ def test_repeated_section_message(tmp_path):
      MANDATORY["fmf"]),
     (_with("detector", "num_detectors =  3 "),
      _with("detector", "num_detectors = 3")),
-], ids=["adaptive_power", "kind", "scheme", "num_detectors"])
+    # numbers are read with float() and int()
+    (_with("quantum", "block_size_bits = 1_000"),
+     _with("quantum", "block_size_bits = 1000")),
+    (_with("quantum", "mu = 0.4_5"), _with("quantum", "mu = 0.45")),
+    (_with("detector", "num_detectors = \uff14"),
+     _with("detector", "num_detectors = 4")),
+], ids=["adaptive_power", "kind", "scheme", "num_detectors",
+        "underscore_int", "underscore_float", "full_width_digit"])
 def test_accepted_spellings(text, canonical, tmp_path):
     scenario, _ = _load(tmp_path, text)
     assert repr(scenario) == repr(_load(tmp_path, canonical)[0])

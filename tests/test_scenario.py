@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from qkdcoex import config
 from qkdcoex import scenario as scenario_mod
 from qkdcoex.config import load_scenario, load_sweep
-from qkdcoex.decoy import (DecoyIntensities, DistanceResult, background_yield,
-                           dbm_to_mw, find_rate_cliff)
+from qkdcoex.decoy import (DecoyIntensities, DistanceResult, _rate_per_pulse,
+                           background_yield, dbm_to_mw, find_rate_cliff)
 from qkdcoex.errors import (CalibrationError, ConfigError, DomainError,
                             NoSecureDistanceError, QkdCoexError)
 from qkdcoex.link import (Band, FiberSpec, Mode, SchemeName, _path,
@@ -27,11 +27,11 @@ from qkdcoex.presets import REFERENCE_TARGETS, get_preset, preset_names
 from qkdcoex.raman import srs_noise_rate_cps
 from qkdcoex.scenario import (ED_BOUNDS, ED_STEP, F_BOUNDS, F_STEP,
                               CalibrationReport, CalibrationTarget, SweepSpec,
-                              TargetResidual, _calibration_points, _cell,
-                              _golden_min, _lower_bound, _resolve,
-                              _row_terms, apply_calibration,
-                              calibrate, channel_state, emit_results,
-                              evaluate_at, launch_power_dbm,
+                              TargetResidual, _block_bound,
+                              _calibration_points, _cell, _golden_min,
+                              _lower_bound, _resolve, _row_terms,
+                              apply_calibration, calibrate, channel_state,
+                              emit_results, evaluate_at, launch_power_dbm,
                               max_secure_distance, rows_to_csv, rows_to_json,
                               run_sweep)
 
@@ -421,6 +421,24 @@ def _full_scan_calibrate(scenarios, targets):
     return CalibrationReport(ed, f, tuple(residuals), refined)
 
 
+def _faithful_floor(row, f):
+    """The smallest `_cell(row, f)` a `math.log` one ulp off either way
+    could give: a faithful log of a rate is one of the floats either side
+    of its true value, which lie within an ulp of this platform's result."""
+    if row is None:
+        return math.inf
+    total = 0.0
+    for terms, q_sift, clock_hz, p_mu, log_rate, qber_term in row:
+        rate = _rate_per_pulse(terms, f, q_sift) * clock_hz * p_mu
+        if rate <= 0.0:
+            return math.inf
+        log = math.log(rate)
+        total += min((x - log_rate) ** 2
+                     for x in (math.nextafter(log, -math.inf), log,
+                               math.nextafter(log, math.inf))) + qber_term
+    return total
+
+
 class _GridDone(Exception):
     """Raised at `calibrate`'s first golden-section step."""
 
@@ -619,6 +637,34 @@ class TestCalibration:
                 assert bounded >= bound
         assert all(_lower_bound(points, ed) <= value for value in exact)
 
+    @settings(max_examples=60, deadline=None)
+    @given(targets=_calibration_targets(),
+           ed=st.one_of(st.sampled_from(_GRID_ED), st.floats(*ED_BOUNDS)),
+           block=st.lists(st.integers(0, 50), min_size=2,
+                          max_size=2).map(sorted))
+    # a vanished yield bound at the second target: the row is None
+    @example(targets=[("smf", 0.4, 63.0, 2300.0, 0.04),
+                      ("lp01in", 3.0, 20.0, 1e5, 0.02)],
+             ed=0.02, block=[0, 50])
+    # near the cliff: the rates clamp to 0 inside the block
+    @example(targets=[("lp01in", 0.4, 87.0, 50.0, 0.05)], ed=0.02,
+             block=[10, 50])
+    # extreme target rates: every rate far above or far below its target
+    @example(targets=[("smf", 0.4, 63.0, 5e-324, 0.04),
+                      ("lp02in", 0.4, 86.0, 1.7e308, 0.03)],
+             ed=0.03, block=[0, 50])
+    def test_block_bound_is_below_every_cell_of_its_block(self, targets, ed,
+                                                          block):
+        """The bound over f in [fs[j0], fs[j1]] is <= each of the block's
+        cells, also with every log one ulp off in the worse direction."""
+        scenarios, cal_targets = _fit_inputs(targets)
+        row = _row_terms(_calibration_points(scenarios, cal_targets), ed)
+        j0, j1 = block
+        bound = _block_bound(row, _GRID_F[j0], _GRID_F[j1])
+        for f in _GRID_F[j0:j1 + 1]:
+            assert bound <= _cell(row, f)
+            assert bound <= _faithful_floor(row, f)
+
     @settings(max_examples=40, deadline=None)
     @given(targets=_calibration_targets())
     # one target twice: every cell's terms come in equal pairs
@@ -640,24 +686,42 @@ class TestCalibration:
             return
         assert repr(calibrate(scenarios, cal_targets)) == expected
 
-    def test_ties_go_to_the_first_cell(self):
-        # With no dark counts, Y0 is 0 at 0 km, so on the e_d = 0 row the
-        # QBER and its entropy are 0 and all 51 cells are equal. A target
-        # at the rate of that row makes them the grid's minimum, 0.0, and
-        # the first of them, f = 1.0, is the fit.
+    @staticmethod
+    def _tied_row_inputs():
+        """With no dark counts, Y0 is 0 at 0 km, so on the e_d = 0 row the
+        QBER and its entropy are 0 and all 51 cells are equal. A target at
+        the rate of that row makes them the grid's minimum, 0.0, and the
+        first of them, f = 1.0, is the fit."""
         smf = get_preset("smf")
         scenario = replace(smf, detector=replace(smf.detector,
                                                  dark_count_per_gate=0.0))
         rate = evaluate_at(apply_calibration(scenario, 0.0, 1.0),
                            0.0).key_rate_bps
         targets = [CalibrationTarget(0.0, rate, 0.0)]
-        points = _calibration_points([scenario], targets)
-        row = _row_terms(points, 0.0)
+        row = _row_terms(_calibration_points([scenario], targets), 0.0)
         assert [_cell(row, f) for f in _GRID_F] == [0.0] * 51
-        report = calibrate([scenario], targets)
+        return [scenario], targets
+
+    def test_ties_go_to_the_first_cell(self):
+        scenarios, targets = self._tied_row_inputs()
+        report = calibrate(scenarios, targets)
         assert (report.misalignment_error, report.ec_efficiency,
                 report.objective) == (0.0, 1.0, 0.0)
-        assert repr(report) == repr(_full_scan_calibrate([scenario], targets))
+        assert repr(report) == repr(_full_scan_calibrate(scenarios, targets))
+
+    def test_ties_go_to_the_first_cell_whatever_the_block_order(
+            self, monkeypatch):
+        # A block bound of -f_hi is <= every cell of the tied row and makes
+        # the blocks of high f come up first, so the first cell the search
+        # evaluates is not the first cell of the row.
+        scenarios, targets = self._tied_row_inputs()
+        expected = repr(_full_scan_calibrate(scenarios, targets))
+        monkeypatch.setattr(scenario_mod, "_block_bound",
+                            lambda row, lo, hi: -hi)
+        report = calibrate(scenarios, targets)
+        assert (report.misalignment_error, report.ec_efficiency,
+                report.objective) == (0.0, 1.0, 0.0)
+        assert repr(report) == expected
 
     def test_ties_across_rows_go_to_the_first_row(self, monkeypatch):
         # Every row made the same, so its minimum is in all of them, and
@@ -675,15 +739,16 @@ class TestCalibration:
         assert (rows, bracket) == (51, (ED_BOUNDS[0], ED_STEP))
 
     def test_grid_work_on_the_reference_targets(self, monkeypatch):
-        # Rows best first under one cut: 1,947 target terms in 22 rows.
+        # Rows and f-blocks best first under one cut: 189 target terms,
+        # block bounds included, in 22 rows.
         terms, rows, _ = _grid_work(
             monkeypatch, [get_preset(name) for name, _ in REFERENCE_TARGETS],
             [t for _, t in REFERENCE_TARGETS])
-        assert terms <= 1947
+        assert terms <= 189
         assert rows <= 22
 
     def test_grid_work_on_synthetic_targets(self, monkeypatch):
-        # The benchmark's synthetic target sets: at most 143 target terms
+        # The benchmark's synthetic target sets: at most 66 target terms
         # each, where a first row evaluated in full is 153 on its own.
         rng = random.Random(0)
         for _ in range(60):
@@ -691,7 +756,7 @@ class TestCalibration:
             terms, _, _ = _grid_work(
                 monkeypatch, [get_preset(name) for name in case["presets"]],
                 [CalibrationTarget(*t) for t in case["targets"]])
-            assert terms <= 143
+            assert terms <= 66
 
     def test_vanished_yield_bound_visits_no_row(self, monkeypatch):
         # Every row's lower bound is inf, which reaches the first cut.
