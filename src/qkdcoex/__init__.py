@@ -4,7 +4,11 @@ over single-mode and few-mode fiber.
 Four layers: `link` (loss/transmittance/isolation budgets), `raman`
 (spontaneous Raman scattering noise and coefficient fitting), `decoy`
 (vacuum+weak decoy-state bounds and secure key rates) and `scenario`
-(presets, sweeps, calibration, result emission, CLI).
+(sweeps, cliff search, calibration, result emission). Around them:
+`presets` (the paper's built-in scenarios), `config` (INI scenario files),
+`cli` (the `qkdcoex` command) and `errors` (exceptions and the record
+decorator). `load_scenario` is resolved on first use, so importing the
+package does not load the INI reader.
 """
 
 from .decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
@@ -27,7 +31,6 @@ from .raman import (NoiseMeasurement, RamanCoefficient,
                     fit_raman_coefficient, noise_prob_per_pulse,
                     peak_noise_distance_km, read_measurements_csv,
                     srs_noise_rate_cps)
-from .config import load_scenario
 from .scenario import (CalibrationReport, CalibrationTarget, ChannelState,
                        ResultRow, Scenario, SweepSpec, TargetResidual,
                        apply_calibration, calibrate, channel_state,
@@ -36,6 +39,17 @@ from .scenario import (CalibrationReport, CalibrationTarget, ChannelState,
                        run_sweep)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "load_scenario":
+        from .config import load_scenario
+        return load_scenario
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "load_scenario"})
 
 
 def backend_name() -> str:

@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 
 from . import presets as presets_mod
-from .config import _load_scenario_file
 from .errors import ComputationError, QkdCoexError
 from .raman import fit_raman_coefficient, read_measurements_csv
 from .scenario import (Scenario, SweepSpec, _chunks, _sweep_table, _write,
@@ -42,6 +41,8 @@ def _add_scenario_args(parser: argparse.ArgumentParser):
 def _resolve_scenario(args) -> tuple[Scenario, SweepSpec | None]:
     if args.preset:
         return presets_mod.get_preset(args.preset), None
+    # The INI reader (and configparser) loads only when a file is read.
+    from .config import _load_scenario_file
     return _load_scenario_file(args.scenario)
 
 

@@ -102,18 +102,23 @@ def _read_ini(path: str | Path) -> dict[str, _Section]:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
+        # Reading a value expands its `%(key)s` references, so a stray `%`
+        # or a reference to a missing key fails here, not while parsing.
+        values = {name: dict(parser[name]) for name in parser.sections()}
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"scenario file {path} is not UTF-8 text: {exc}") from None
+    except configparser.InterpolationError as exc:
+        raise ConfigError(f"scenario file {path}: [{exc.section}] "
+                          f"{exc.option}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse scenario file: {exc}") from exc
-    unknown = set(parser.sections()) - set(_SECTIONS)
+    unknown = set(values) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
-    return {name: _Section(name, dict(parser[name]) if parser.has_section(name) else {})
-            for name in _SECTIONS}
+    return {name: _Section(name, values.get(name, {})) for name in _SECTIONS}
 
 
 def _build_link(fiber: _Section, components: _Section) -> LinkPlan:

@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, repeat, takewhile
 from typing import Callable
 
 from .errors import (ConfigError, DomainError, NoSecureDistanceError,
-                     UndefinedBoundError, _require_finite)
+                     UndefinedBoundError, _record, _require_finite)
 
 _PROB_SUM_TOL = 1e-12
 # Error rate e0 of a background (dark or noise) count: a random bit. It is a
@@ -44,7 +43,7 @@ _GAIN_MIN = sys.float_info.min
 _MAX_GRID_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
+@_record
 class DecoyIntensities:
     """Signal/decoy/vacuum mean photon numbers and emission probabilities."""
 
@@ -82,7 +81,7 @@ class DecoyIntensities:
             )
 
 
-@dataclass(frozen=True)
+@_record
 class DetectorSpec:
     """Gated single-photon detector bank at the receiver."""
 
@@ -116,7 +115,7 @@ class DetectorSpec:
                               "convert to a float") from None
 
 
-@dataclass(frozen=True)
+@_record
 class ProtocolParams:
     """Protocol-level constants of the BB84 system.
 
@@ -160,7 +159,7 @@ class ProtocolParams:
                               f"got {self.block_size_bits!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class ChannelPoint:
     """Overall single-photon transmittance-and-detection probability eta and
     background yield Y0 per pulse."""
@@ -175,7 +174,7 @@ class ChannelPoint:
             raise ConfigError(f"Y0 must be in [0, 1), got {self.y0}")
 
 
-@dataclass(frozen=True)
+@_record
 class KeyRateBreakdown:
     """Per-point diagnostics of the key-rate evaluation."""
 
@@ -190,7 +189,7 @@ class KeyRateBreakdown:
     clamp_events: int
 
 
-@dataclass(frozen=True)
+@_record
 class DistanceResult:
     """Outcome of a maximum-distance search."""
 

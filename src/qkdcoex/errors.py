@@ -1,4 +1,5 @@
-"""Exception hierarchy, and the finite check every input applies.
+"""Exception hierarchy, the finite check every input applies, and the
+decorator that makes the package's frozen records.
 
 Configuration and argument problems derive from ValueError so they behave
 naturally with code that validates inputs; failures of a computation that
@@ -7,7 +8,10 @@ the first group to exit code 1 and the second to exit code 2.
 """
 
 import math
+import operator
+import reprlib
 from collections.abc import Mapping
+from dataclasses import dataclass, fields
 
 
 class QkdCoexError(Exception):
@@ -60,3 +64,44 @@ def _require_finite(where: str, **values) -> None:
     for name, value in values.items():
         if not all(map(math.isfinite, _floats(value))):
             raise ConfigError(f"{where} {name} must be finite, got {value!r}")
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        values = self._record_values
+        return values(self) == values(other)
+    return NotImplemented
+
+
+def _record_hash(self):
+    return hash(self._record_values(self))
+
+
+@reprlib.recursive_repr()
+def _record_repr(self):
+    pairs = zip(self._record_names, self._record_values(self))
+    return (f"{self.__class__.__qualname__}("
+            + ", ".join([f"{name}={value!r}" for name, value in pairs]) + ")")
+
+
+def _record(cls):
+    """`@dataclass(frozen=True)` with one shared `__eq__`, `__hash__` and
+    `__repr__` instead of three methods compiled for each class.
+
+    They behave as the generated ones: equal only to an instance of the
+    same class with an equal tuple of field values, the hash of that
+    tuple, and the same repr text. `fields`, `replace`, `asdict` and the
+    `FrozenInstanceError` on assignment come from `dataclass` itself.
+    """
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
+    flds = fields(cls)
+    if len(flds) < 2 or any(not (f.repr and f.compare) or f.hash is not None
+                            for f in flds):
+        # attrgetter gives a tuple only for two names or more, and every
+        # field enters the equality, the hash and the repr.
+        raise TypeError(f"{cls.__name__}: a record needs two or more "
+                        "fields, each with the default repr, compare and hash")
+    cls._record_names = tuple(f.name for f in flds)
+    cls._record_values = operator.attrgetter(*cls._record_names)
+    cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
+    return cls

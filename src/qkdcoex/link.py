@@ -12,10 +12,10 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, DomainError, _require_finite
+from .errors import ConfigError, DomainError, _record, _require_finite
 
 
 class Mode(enum.Enum):
@@ -73,7 +73,7 @@ class _FrozenMap(dict):
         return type(self), (dict(self),)
 
 
-@dataclass(frozen=True)
+@_record
 class FiberSpec:
     """Per-mode, per-band attenuation of a fiber.
 
@@ -133,7 +133,7 @@ class FiberSpec:
             ) from None
 
 
-@dataclass(frozen=True)
+@_record
 class ComponentSpec:
     """Inline component with a per-mode insertion loss (a read-only map)."""
 
@@ -162,7 +162,7 @@ class ComponentSpec:
             ) from None
 
 
-@dataclass(frozen=True)
+@_record
 class MultiplexScheme:
     """Assignment of the quantum and classical channels to spatial modes."""
 
@@ -195,7 +195,7 @@ class MultiplexScheme:
         return self.quantum_mode if channel is Band.QUANTUM else self.classical_mode
 
 
-@dataclass(frozen=True)
+@_record
 class IsolationTable:
     """Measured modal isolation (dB) of fiber plus mode MUX/DEMUX versus
     distance, one row list per launch direction.
@@ -239,7 +239,7 @@ class IsolationTable:
         raise DomainError("isolation is tabulated for lp01in/lp02in only")
 
 
-@dataclass(frozen=True)
+@_record
 class LinkPlan:
     """A span of fiber with the inline components on each channel's path."""
 

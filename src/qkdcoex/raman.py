@@ -14,19 +14,17 @@ efficiency scaling is applied downstream.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .decoy import _y0_step
 from .errors import (ConfigError, DegenerateFitError, DomainError,
-                     _require_finite)
+                     _record, _require_finite)
 from .link import SchemeName
 
 
-@dataclass(frozen=True)
+@_record
 class RamanCoefficient:
     """Lumped detected-noise coefficient in counts/s per mW per km."""
 
@@ -41,7 +39,7 @@ class RamanCoefficient:
             )
 
 
-@dataclass(frozen=True)
+@_record
 class NoiseMeasurement:
     """One measured noise point: distance, launch power and detected rate."""
 
@@ -148,7 +146,10 @@ def fit_raman_coefficient(measurements: Sequence[NoiseMeasurement],
 
 def read_measurements_csv(path: str | Path) -> tuple[NoiseMeasurement, ...]:
     """Load measurements from delimited text with header
-    distance_km,power_mw,rate_cps."""
+    distance_km,power_mw,rate_cps. `csv` is imported here, so only a
+    process that reads measurements loads it."""
+    import csv
+
     expected = ["distance_km", "power_mw", "rate_cps"]
     out: list[NoiseMeasurement] = []
     try:

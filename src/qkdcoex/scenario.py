@@ -17,7 +17,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from itertools import islice
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +27,7 @@ from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     _decoy_steps, _kernel, _rate_bound, _rate_per_pulse,
                     _y0_step, dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
-                     DomainError, QkdCoexError, _require_finite)
+                     DomainError, QkdCoexError, _record, _require_finite)
 from .link import Band, LinkPlan, _loss_db, _path, _transmittance
 from .raman import RamanCoefficient, _srs_rate
 
@@ -41,7 +41,7 @@ _FEASIBILITY_TOL_DB = 1e-9
 _Y0_MAX = math.nextafter(1.0, 0.0)
 
 
-@dataclass(frozen=True)
+@_record
 class Scenario:
     """Complete description of one coexistence configuration.
 
@@ -81,7 +81,7 @@ class Scenario:
             )
 
 
-@dataclass(frozen=True)
+@_record
 class SweepSpec:
     """Inclusive distance grid for a sweep."""
 
@@ -117,7 +117,7 @@ class SweepSpec:
                 for i in range(n))
 
 
-@dataclass(frozen=True)
+@_record
 class ResultRow:
     """One sweep point; field order matches the CSV schema."""
 
@@ -135,7 +135,7 @@ class ResultRow:
     classical_feasible: bool
 
 
-@dataclass(frozen=True)
+@_record
 class ChannelState:
     """Intermediate quantities of one (scenario, distance) evaluation."""
 
@@ -482,7 +482,7 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
 # ---------------------------------------------------------------------------
 # calibration
 
-@dataclass(frozen=True)
+@_record
 class CalibrationTarget:
     """Reference operating point: distance, secure key rate and QBER."""
 
@@ -500,7 +500,7 @@ class CalibrationTarget:
             raise ConfigError(f"target QBER must be in [0, 1], got {self.qber}")
 
 
-@dataclass(frozen=True)
+@_record
 class TargetResidual:
     """Simulated versus target values at one calibration point."""
 
@@ -526,7 +526,7 @@ ED_STEP = 0.001
 F_STEP = 0.01
 
 
-@dataclass(frozen=True)
+@_record
 class CalibrationReport:
     """Fitted shared (misalignment error, EC efficiency) and residuals."""
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -360,6 +361,23 @@ def test_invalid_scenario_file_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(SCENARIO_INI.replace("0.190", "-0.190"), encoding="utf-8")
     assert main(["sweep", "--scenario", str(path)]) == 1
+
+
+def test_stray_percent_in_ini_exit_1(tmp_path):
+    # Through `python -m qkdcoex`, so an escaping exception would show as
+    # a traceback on stderr.
+    path = tmp_path / "pct.ini"
+    path.write_text(SCENARIO_INI + "\n[classical]\nlaunch_power_dbm = -2.6%\n",
+                    encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkdcoex", "max-distance", "--scenario", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"qkdcoex: scenario file {path}: [classical] launch_power_dbm: ")
 
 
 def test_usage_error_exit_1(capsys):

@@ -196,6 +196,34 @@ def test_repeated_section_message(tmp_path):
         f"section 'fiber' already exists")
 
 
+# A value is `%`-interpolated when it is read: a stray `%` or a reference
+# to a missing key is a ConfigError naming the file and the key.
+@pytest.mark.parametrize("text, section, key, detail", [
+    (_with("classical", "launch_power_dbm = -2.6%"), "classical",
+     "launch_power_dbm", "'%' must be followed by '%' or '('"),
+    (MANDATORY["smf"].replace("attenuation_classical_db_per_km = 0.192",
+                              "attenuation_classical_db_per_km = %(x)s"),
+     "fiber", "attenuation_classical_db_per_km",
+     "contains an interpolation key 'x' which is not a valid option name"),
+], ids=["stray_percent", "missing_reference"])
+def test_bad_interpolation_message(text, section, key, detail, tmp_path):
+    with pytest.raises(ConfigError) as exc:
+        _load(tmp_path, text)
+    message = str(exc.value)
+    assert message.startswith(
+        f"scenario file {tmp_path / 's.ini'}: [{section}] {key}: "), message
+    assert detail in message
+
+
+def test_valid_interpolation_is_kept(tmp_path):
+    text = MANDATORY["smf"].replace(
+        "attenuation_classical_db_per_km = 0.192",
+        "attenuation_classical_db_per_km = %(attenuation_quantum_db_per_km)s")
+    scenario, _ = _load(tmp_path, text)
+    expected, _ = _load(tmp_path, MANDATORY["smf"].replace("0.192", "0.190"))
+    assert repr(scenario) == repr(expected)
+
+
 @pytest.mark.parametrize("text, canonical", [
     (_with("classical", "adaptive_power = ON"),
      _with("classical", "adaptive_power = true")),
