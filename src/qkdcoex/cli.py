@@ -10,10 +10,9 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 
 from . import presets as presets_mod
-from .errors import ComputationError, QkdCoexError
+from .errors import ComputationError, QkdCoexError, _replace
 from .raman import fit_raman_coefficient, read_measurements_csv
 from .scenario import (Scenario, SweepSpec, _chunks, _sweep_table, _write,
                        calibrate, max_secure_distance)
@@ -117,8 +116,8 @@ _shared_parser = functools.cache(build_parser)
 def _cmd_sweep(args) -> int:
     scenario, file_sweep = _resolve_scenario(args)
     flags = {name: getattr(args, name) for name in ("from_km", "to_km", "step_km")}
-    sweep = replace(file_sweep or _DEFAULT_SWEEP,
-                    **{name: v for name, v in flags.items() if v is not None})
+    sweep = _replace(file_sweep or _DEFAULT_SWEEP,
+                     **{name: v for name, v in flags.items() if v is not None})
     # The whole table is computed before any output, so a failed sweep
     # leaves no --out file.
     table = _sweep_table(scenario, sweep)

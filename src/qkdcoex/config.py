@@ -10,11 +10,10 @@ typos fail loudly.
 from __future__ import annotations
 
 import configparser
-from dataclasses import replace
 from pathlib import Path
 
 from .decoy import DecoyIntensities, DetectorSpec, ProtocolParams
-from .errors import ConfigError, _require_finite
+from .errors import ConfigError, _replace, _require_finite
 from .link import Band, ComponentSpec, FiberKind, LinkPlan, MultiplexScheme, Side
 from .presets import _fmf_link, _smf_link
 from .raman import RamanCoefficient
@@ -154,8 +153,8 @@ def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
         classical_path += (ComponentSpec(
             "classical-extra", {scheme.classical_mode: c_extra}, Side.TRANSMITTER),)
     # An smf fiber with an lp01in or lp02in scheme fails here.
-    return replace(link, scheme=scheme, quantum_path_components=quantum_path,
-                   classical_path_components=classical_path)
+    return _replace(link, scheme=scheme, quantum_path_components=quantum_path,
+                    classical_path_components=classical_path)
 
 
 def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Callable
 from functools import partial
 from itertools import accumulate, repeat, takewhile
-from typing import Callable
 
 from .errors import (ConfigError, DomainError, NoSecureDistanceError,
                      UndefinedBoundError, _record, _require_finite)
@@ -508,7 +508,7 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
             f"key rate is non-positive over [{from_km}, {to_km}] km"
         )
     if last == len(grid) - 1:
-        return DistanceResult(grid[last], at_upper_boundary=True)
+        return DistanceResult(grid[last], True)
 
     lo, hi = grid[last], grid[last + 1]
     while hi - lo > resolution_km:
@@ -520,7 +520,7 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
             lo = mid
         else:
             hi = mid
-    return DistanceResult(lo, at_upper_boundary=False)
+    return DistanceResult(lo, False)
 
 
 def max_secure_distance_km(evaluator: Callable[[float], ChannelPoint],

@@ -3,7 +3,7 @@ modal isolation and the classical power budget.
 
 All losses are stored and summed in dB; conversion to a linear
 transmittance happens only at the `transmittance` boundary. Types are
-frozen dataclasses with read-only maps, and every operation is a pure
+frozen records with read-only maps, and every operation is a pure
 function, so everything here is hashable and safe to share across threads.
 """
 
@@ -12,8 +12,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import field
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .errors import ConfigError, DomainError, _record, _require_finite
 
@@ -246,8 +245,8 @@ class LinkPlan:
     fiber: FiberSpec
     length_km: float
     scheme: MultiplexScheme
-    quantum_path_components: tuple[ComponentSpec, ...] = field(default=())
-    classical_path_components: tuple[ComponentSpec, ...] = field(default=())
+    quantum_path_components: tuple[ComponentSpec, ...] = ()
+    classical_path_components: tuple[ComponentSpec, ...] = ()
 
     def __post_init__(self):
         _require_finite("link", **vars(self))

@@ -13,10 +13,8 @@ then better detectors.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .decoy import DecoyIntensities, DetectorSpec, ProtocolParams
-from .errors import ConfigError
+from .errors import ConfigError, _replace
 from .link import (ComponentSpec, FiberSpec, IsolationTable, LinkPlan, Mode,
                    MultiplexScheme, SchemeName, Side)
 from .raman import RamanCoefficient
@@ -91,11 +89,11 @@ def _baseline(name: str, link: LinkPlan) -> Scenario:
 
 
 _LP02IN = _baseline("lp02in", _fmf_link(SchemeName.LP02_IN))
-_FIG4_POWER = replace(_LP02IN, name="fig4-power", adaptive_power=True)
-_FIG4_POWER_FMF = replace(_FIG4_POWER, name="fig4-power-fmf", link=_fmf_link(
+_FIG4_POWER = _replace(_LP02IN, name="fig4-power", adaptive_power=True)
+_FIG4_POWER_FMF = _replace(_FIG4_POWER, name="fig4-power-fmf", link=_fmf_link(
     SchemeName.LP02_IN, attenuation=(ULL_ATTENUATION_DB_PER_KM,) * 2,
     coupler_il=(ULL_COUPLER_IL_DB,) * 4))
-_FIG4_FULL = replace(_FIG4_POWER_FMF, name="fig4-full", detector=replace(
+_FIG4_FULL = _replace(_FIG4_POWER_FMF, name="fig4-full", detector=_replace(
     _FIG4_POWER_FMF.detector, efficiency=IMPROVED_DETECTOR_EFFICIENCY,
     dark_count_per_gate=(IMPROVED_DARK_RATE_CPS
                          / _FIG4_POWER_FMF.detector.gate_hz)))

@@ -15,8 +15,8 @@ efficiency scaling is applied downstream.
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import Iterable, Sequence
+import os
+from collections.abc import Iterable, Sequence
 
 from .decoy import _y0_step
 from .errors import (ConfigError, DegenerateFitError, DomainError,
@@ -144,7 +144,7 @@ def fit_raman_coefficient(measurements: Sequence[NoiseMeasurement],
     return RamanCoefficient(num / den, scheme)
 
 
-def read_measurements_csv(path: str | Path) -> tuple[NoiseMeasurement, ...]:
+def read_measurements_csv(path: str | os.PathLike) -> tuple[NoiseMeasurement, ...]:
     """Load measurements from delimited text with header
     distance_km,power_mw,rate_cps. `csv` is imported here, so only a
     process that reads measurements loads it."""

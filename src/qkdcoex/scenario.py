@@ -15,19 +15,19 @@ import importlib
 import json
 import math
 import operator
+import os
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import field, replace
+from collections.abc import Sequence
 from itertools import islice
-from pathlib import Path
-from typing import Sequence
 
 from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     DetectorSpec, DistanceResult, ProtocolParams, _dark_yield,
                     _decoy_steps, _kernel, _rate_bound, _rate_per_pulse,
                     _y0_step, dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
-                     DomainError, QkdCoexError, _record, _require_finite)
+                     DomainError, QkdCoexError, _record, _replace,
+                     _require_finite)
 from .link import Band, LinkPlan, _loss_db, _path, _transmittance
 from .raman import RamanCoefficient, _srs_rate
 
@@ -380,7 +380,7 @@ def _chunks(table: list[list], format: str):
     raise ConfigError(f"unknown output format {format!r}")
 
 
-def _write(chunks, path: str | Path) -> None:
+def _write(chunks, path: str | os.PathLike) -> None:
     """Write the text pieces to `path`. A path that cannot be opened is a
     usage problem (`ConfigError`); an error while writing to the open file
     is a failure (`ComputationError`)."""
@@ -412,7 +412,7 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
 
 
 def emit_results(rows: Sequence[ResultRow], format: str,
-                 path: str | Path) -> None:
+                 path: str | os.PathLike) -> None:
     """Write rows as CSV or JSON; numbers keep full round-trip precision.
     An unknown format or a path that cannot be opened raises `ConfigError`
     and creates no file; a failed write raises `ComputationError`."""
@@ -532,7 +532,7 @@ class CalibrationReport:
 
     misalignment_error: float
     ec_efficiency: float
-    residuals: tuple[TargetResidual, ...] = field(default=())
+    residuals: tuple[TargetResidual, ...] = ()
     objective: float = math.inf
 
     def __post_init__(self):
@@ -759,29 +759,20 @@ def calibrate(scenarios: Sequence[Scenario],
     if refined > best:
         ed, f, refined = eds[best_i], fs[best_j], best
 
+    # The records are built positionally, their cheapest `__init__` path.
     residuals = []
     for scen, tgt, (key, (eta, y0), *_) in zip(scenarios, targets, points):
         _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
-        residuals.append(TargetResidual(
-            scenario=scen.name,
-            distance_km=tgt.distance_km,
-            key_rate_bps=rate,
-            target_rate_bps=tgt.key_rate_bps,
-            qber=emu,
-            target_qber=tgt.qber,
-        ))
-    return CalibrationReport(
-        misalignment_error=ed,
-        ec_efficiency=f,
-        residuals=tuple(residuals),
-        objective=refined,
-    )
+        residuals.append(TargetResidual(scen.name, tgt.distance_km,
+                                        rate, tgt.key_rate_bps,
+                                        emu, tgt.qber))
+    return CalibrationReport(ed, f, tuple(residuals), refined)
 
 
 def apply_calibration(scenario: Scenario, misalignment_error: float,
                       ec_efficiency: float) -> Scenario:
     """Scenario copy with the calibrated free parameters applied."""
-    protocol = replace(scenario.protocol,
-                       misalignment_error=misalignment_error,
-                       ec_efficiency=ec_efficiency)
-    return replace(scenario, protocol=protocol)
+    protocol = _replace(scenario.protocol,
+                        misalignment_error=misalignment_error,
+                        ec_efficiency=ec_efficiency)
+    return _replace(scenario, protocol=protocol)

@@ -1,10 +1,14 @@
-"""numpy, the INI reader and csv load only where they are used.
+"""numpy, the INI reader and csv load only where they are used, and
+dataclasses and inspect nowhere.
 
 The CSV float formatter is the package's one use of numpy; `qkdcoex.config`
 (and with it configparser) reads `--scenario` files and `load_scenario`;
-`csv` reads `fit-raman` measurements. Each test runs in a fresh
-interpreter, because this process has imported all of them long before
-(the other tests use them), and reports which of them the child ended with.
+`csv` reads `fit-raman` measurements. The records are made without
+`dataclasses`, so no verb loads it, nor the `inspect` chain (`ast`, `dis`,
+`tokenize`) that it imports, except through numpy. Each test runs in a
+fresh interpreter, because this process has imported all of them long
+before (the other tests use them), and reports which of them the child
+ended with.
 """
 
 import hashlib
@@ -20,7 +24,8 @@ from test_golden import GOLDEN, GRID
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Modules a process should load only for the verbs that need them.
-WATCHED = ("numpy", "configparser", "qkdcoex.config", "csv")
+WATCHED = ("numpy", "configparser", "qkdcoex.config", "csv", "dataclasses",
+           "inspect", "ast", "dis", "tokenize")
 
 PRELUDE = f"""
 import sys
@@ -57,6 +62,10 @@ def _run(*verbs):
     return result
 
 
+def test_cold_import_loads_none():
+    assert _run() == {"codes": [], "loaded": []}
+
+
 def test_numpy_free_verbs():
     assert _run(
         ["max-distance", "--preset", "smf"],
@@ -68,13 +77,21 @@ def test_numpy_free_verbs():
 
 def test_csv_sweep_loads_numpy(tmp_path):
     # Positive control: the same harness sees numpy once CSV is written,
-    # and the lazily resolved formatter gives the golden bytes.
+    # and the lazily resolved formatter gives the golden bytes. Whatever
+    # numpy imports itself (numpy 2 loads the inspect chain) comes with it,
+    # and nothing else.
+    numpy_own = _python(PRELUDE + """
+import json, numpy
+print(json.dumps([m for m in WATCHED if m in sys.modules]))
+""")
+    assert numpy_own[0] == "numpy"
+    assert set(numpy_own) <= {"numpy", "inspect", "ast", "dis", "tokenize"}
     out = tmp_path / "rows.csv"
     assert _run(
         ["max-distance", "--preset", "smf"],
         ["sweep", "--preset", "smf", "--from-km", GRID[0], "--to-km", GRID[1],
          "--step-km", GRID[2], "--out", str(out)],
-    ) == {"codes": [0, 0], "loaded": ["numpy"]}
+    ) == {"codes": [0, 0], "loaded": numpy_own}
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["smf"][0]
 
 

@@ -12,8 +12,13 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import json
+import pickle
 import pkgutil
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, asdict, fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +185,174 @@ def test_record_needs_two_plain_fields():
                  "y": dataclasses.field(default=0.0, repr=False)}
     with pytest.raises(TypeError, match="default repr, compare and hash"):
         errors._record(type("Hidden", (), namespace))
+
+
+# The records are made without `dataclasses`: one shared `__init__`,
+# `__setattr__` and `__delattr__`, and a dataclass view (fields, params,
+# signature) that a `@dataclass(frozen=True)` twin supplies on first read.
+
+RECORDS = [type(record) for record in SAMPLES]
+
+
+def _twin(cls):
+    """A `@dataclass(frozen=True)` class with the name, fields, defaults
+    and docstring of `cls`, and none of its methods."""
+    namespace = {name: cls.__dict__[name] for name in cls.__annotations__
+                 if name in cls.__dict__}
+    namespace.update(__annotations__=dict(cls.__annotations__),
+                     __qualname__=cls.__qualname__, __module__=cls.__module__,
+                     __doc__=cls.__doc__)
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+def _type_error(cls, args, kwargs):
+    with pytest.raises(TypeError) as info:
+        cls(*args, **kwargs)
+    return str(info.value)
+
+
+def test_every_record_shares_one_init_setattr_and_delattr():
+    for cls in RECORDS:
+        assert cls.__init__ is errors._record_init, cls
+        assert cls.__setattr__ is errors._record_setattr, cls
+        assert cls.__delattr__ is errors._record_delattr, cls
+        fields(cls)   # one read replaces every view by the twin's value
+        assert not any(isinstance(attr, errors._DataclassView)
+                       for attr in vars(cls).values()), cls
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_signature_doc_and_match_args_are_the_dataclass_ones(cls):
+    twin = _twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert str(inspect.signature(cls)) == str(inspect.signature(twin))
+    assert cls.__doc__ == twin.__doc__
+    assert cls.__match_args__ == twin.__match_args__
+    assert repr(cls.__dataclass_params__) == repr(twin.__dataclass_params__)
+
+
+def test_a_record_without_a_docstring_gets_the_dataclass_one():
+    namespace = {"__annotations__": {"x": "float", "y": "int"}, "y": 2}
+    record = errors._record(type("Point", (), dict(namespace)))
+    reference = dataclasses.dataclass(frozen=True)(
+        type("Point", (), dict(namespace)))
+    assert record.__doc__ == reference.__doc__ == "Point(x: 'float', y: 'int' = 2)"
+    assert record(1.0).__doc__ == reference.__doc__
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=IDS)
+def test_construction_gives_the_dataclass_values(record):
+    cls, twin = type(record), _twin(type(record))
+    values = _values(record)
+    names = list(values)
+    first, *rest = names
+    required = [values[name] for name in names if name not in vars(cls)]
+    calls = [
+        (tuple(values.values()), {}),                       # positional
+        ((), values),                                       # keyword
+        ((values[first],), {name: values[name] for name in rest}),
+        (required, {}),                                     # defaulted
+    ]
+    for args, kwargs in calls:
+        made = cls(*args, **kwargs)
+        assert _values(made) == _values(twin(*args, **kwargs))
+        assert list(vars(made)) == names                    # in field order
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=IDS)
+def test_bad_calls_raise_the_dataclass_type_errors(record):
+    cls, twin = type(record), _twin(type(record))
+    values = _values(record)
+    names = list(values)
+    calls = [
+        ((*values.values(), 0), {}),                        # one too many
+        ((), {**values, "no_such_field": 0}),               # unknown
+        ((values[names[0]],), values),                      # duplicate
+    ]
+    required = [name for name in names if name not in vars(cls)]
+    if required:                                            # missing
+        calls.append(((), {name: values[name] for name in names
+                           if name != required[-1]}))
+    for args, kwargs in calls:
+        message = _type_error(cls, args, kwargs)
+        assert message == _type_error(twin, args, kwargs)
+        assert message.startswith(f"{cls.__qualname__}.__init__() ")
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=IDS)
+def test_frozen_messages_are_the_dataclass_ones(record):
+    def messages(obj):
+        name = fields(obj)[-1].name
+        found = []
+        for act in (lambda: setattr(obj, name, 0), lambda: delattr(obj, name),
+                    lambda: setattr(obj, "new", 0), lambda: delattr(obj, "new")):
+            with pytest.raises(FrozenInstanceError) as info:
+                act()
+            found.append(str(info.value))
+        return found
+
+    reference = _twin(type(record))(**_values(record))
+    assert messages(record) == messages(reference)
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=IDS)
+def test_pickle_and_copy_round_trips(record):
+    for made in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)):
+        assert type(made) is type(record)
+        assert made == record and hash(made) == hash(record)
+        assert list(vars(made)) == list(vars(record))
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=IDS)
+def test_replace_protocol(record):
+    # `copy.replace` (Python 3.13) calls `__replace__`, which dataclasses
+    # set from 3.13 on; records have it on every version.
+    name, value = next(iter(_values(record).items()))
+    assert type(record).__replace__(record) == record
+    assert type(record).__replace__(record, **{name: value}) == replace(record)
+
+
+def test_dataclass_view_in_a_process_that_imports_dataclasses_last():
+    # In this process `dataclasses` was loaded before the records were
+    # made; a fresh one loads it only after `qkdcoex`, as a caller of
+    # `fields` or `replace` does. Both give the same view.
+    child = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import qkdcoex, qkdcoex.cli
+before = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+import dataclasses, inspect
+from test_records import SAMPLES, _view
+print(json.dumps({"before": before, "view": [_view(r) for r in SAMPLES]}))
+"""
+    paths = [str(Path(qkdcoex.__file__).parents[1]), str(Path(__file__).parent)]
+    proc = subprocess.run([sys.executable, "-c", child, *paths],
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result == {"before": [], "view": [_view(r) for r in SAMPLES]}
+
+
+def _view(record):
+    """What `dataclasses` and `inspect` say about a record, as text."""
+    return [dataclasses.is_dataclass(record),
+            [f.name for f in fields(record)],
+            replace(record) == record,
+            repr(asdict(record)),
+            repr(dataclasses.astuple(record)),
+            str(inspect.signature(type(record)))]
+
+
+def test_a_dataclass_field_default_is_refused():
+    for default in (dataclasses.field(default=0.0),
+                    dataclasses.field(default_factory=float)):
+        namespace = {"__annotations__": {"x": float, "y": float}, "y": default}
+        with pytest.raises(TypeError, match="default repr, compare and hash"):
+            errors._record(type("Fielded", (), namespace))
+
+
+def test_defaults_come_last_and_are_hashable():
+    for namespace in ({"__annotations__": {"x": float, "y": float}, "x": 0.0},
+                      {"__annotations__": {"x": float, "y": list}, "y": []}):
+        with pytest.raises(TypeError, match="must come last"):
+            errors._record(type("Misordered", (), namespace))
