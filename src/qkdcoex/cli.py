@@ -38,7 +38,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser):
 
 
 def _resolve_scenario(args) -> tuple[Scenario, SweepSpec | None]:
-    if args.preset:
+    if args.preset is not None:
         return presets_mod.get_preset(args.preset), None
     # The INI reader (and configparser) loads only when a file is read.
     from .config import _load_scenario_file
@@ -47,7 +47,7 @@ def _resolve_scenario(args) -> tuple[Scenario, SweepSpec | None]:
 
 def _emit(chunks, out: str | None):
     """Write the text pieces to the `--out` file, or to stdout without one."""
-    if out:
+    if out is not None:
         _write(chunks, out)
     else:
         sys.stdout.writelines(chunks)
@@ -66,7 +66,8 @@ def _report(args, payload: dict, text: str):
     _emit([text], args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its verb parsers, by verb name."""
     parser = _Parser(prog="qkdcoex",
                      description="QKD / classical coexistence simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -105,12 +106,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_presets = sub.add_parser("presets", help="inspect built-in presets")
     p_presets.add_argument("action", choices=("list",))
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 # Built on first use and shared by every `main` call in the process: parsing
 # leaves a parser unchanged, and every default above is immutable.
-_shared_parser = functools.cache(build_parser)
+_shared_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, in one argparse pass where it can.
+
+    The top-level parser hands every argument after the verb to the verb's
+    parser. When that parser consumes them all, its namespace, with
+    `command` first as the top-level parse sets it, is the full parse's.
+    Anything else (no verb, `-h`, an unknown verb, or arguments the verb
+    leaves unparsed) goes through the top-level parser, which prints the
+    help, usage or error.
+    """
+    parser, verbs = _shared_parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, extras = verb.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def _cmd_sweep(args) -> int:
@@ -212,7 +239,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse_args(argv)
         return _COMMANDS[args.command](args)
     except ComputationError as exc:
         sys.stderr.write(f"qkdcoex: computation failed: {exc}\n")

@@ -13,9 +13,9 @@ import configparser
 from pathlib import Path
 
 from .decoy import DecoyIntensities, DetectorSpec, ProtocolParams
-from .errors import ConfigError, _replace, _require_finite
+from .errors import ConfigError, _require_finite
 from .link import Band, ComponentSpec, FiberKind, LinkPlan, MultiplexScheme, Side
-from .presets import _fmf_link, _smf_link
+from .presets import _fmf_parts, _smf_parts
 from .raman import RamanCoefficient
 from .scenario import Scenario, SweepSpec
 
@@ -126,15 +126,14 @@ def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
                           "smf, lp01in or lp02in", required=True)
 
     if kind is FiberKind.SMF:
-        link = _smf_link(
+        fiber_spec, mux_demux = _smf_parts(
             attenuation=(
                 fiber.get("attenuation_quantum_db_per_km", required=True),
                 fiber.get("attenuation_classical_db_per_km", required=True)),
             dwdm_il=(components.get("mux_il_db", required=True),
                      components.get("demux_il_db", required=True)))
     else:
-        link = _fmf_link(
-            scheme.name,
+        fiber_spec, mux_demux = _fmf_parts(
             attenuation=(
                 fiber.get("attenuation_lp01_db_per_km", required=True),
                 fiber.get("attenuation_lp02_db_per_km", required=True)),
@@ -142,8 +141,7 @@ def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
                 "mux_il_lp01_db", "mux_il_lp02_db",
                 "demux_il_lp01_db", "demux_il_lp02_db")))
 
-    quantum_path = link.quantum_path_components
-    classical_path = link.classical_path_components
+    quantum_path = classical_path = mux_demux
     q_extra = components.get("quantum_extra_il_db")
     if q_extra:
         quantum_path += (ComponentSpec(
@@ -152,9 +150,8 @@ def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
     if c_extra:
         classical_path += (ComponentSpec(
             "classical-extra", {scheme.classical_mode: c_extra}, Side.TRANSMITTER),)
-    # An smf fiber with an lp01in or lp02in scheme fails here.
-    return _replace(link, scheme=scheme, quantum_path_components=quantum_path,
-                    classical_path_components=classical_path)
+    # A fiber kind that does not match the scheme fails here.
+    return LinkPlan(fiber_spec, 0.0, scheme, quantum_path, classical_path)
 
 
 def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:

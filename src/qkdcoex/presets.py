@@ -44,36 +44,33 @@ IMPROVED_DETECTOR_EFFICIENCY = 0.20
 IMPROVED_DARK_RATE_CPS = 230.0
 
 
-def _smf_link(attenuation: tuple[float, float] = (0.190, 0.192),
-              dwdm_il: tuple[float, float] = (0.49, 0.36)) -> LinkPlan:
+def _smf_parts(attenuation: tuple[float, float] = (0.190, 0.192),
+               dwdm_il: tuple[float, float] = (0.49, 0.36),
+               ) -> tuple[FiberSpec, tuple[ComponentSpec, ComponentSpec]]:
+    """An SMF span's fiber, and its DWDM mux and demux in path order."""
     mux_il, demux_il = dwdm_il
     mux = ComponentSpec("dwdm-mux", {Mode.FUNDAMENTAL: mux_il}, Side.TRANSMITTER)
     demux = ComponentSpec("dwdm-demux", {Mode.FUNDAMENTAL: demux_il}, Side.RECEIVER)
-    return LinkPlan(
-        fiber=FiberSpec.smf(*attenuation),
-        length_km=0.0,
-        scheme=MultiplexScheme.named(SchemeName.SMF),
-        quantum_path_components=(mux, demux),
-        classical_path_components=(mux, demux),
-    )
+    return FiberSpec.smf(*attenuation), (mux, demux)
 
 
-def _fmf_link(scheme: SchemeName,
-              attenuation: tuple[float, float] = (0.226, 0.257),
-              coupler_il: tuple[float, float, float, float] = (2.60, 3.70, 2.30, 3.20),
-              ) -> LinkPlan:
+def _fmf_parts(attenuation: tuple[float, float] = (0.226, 0.257),
+               coupler_il: tuple[float, float, float, float] = (2.60, 3.70, 2.30, 3.20),
+               ) -> tuple[FiberSpec, tuple[ComponentSpec, ComponentSpec]]:
+    """A two-mode FMF span's fiber, and its mode mux and demux in path order."""
     mux_lp01, mux_lp02, demux_lp01, demux_lp02 = coupler_il
     mux = ComponentSpec("mode-mux", {Mode.LP01: mux_lp01, Mode.LP02: mux_lp02},
                         Side.TRANSMITTER)
     demux = ComponentSpec("mode-demux", {Mode.LP01: demux_lp01, Mode.LP02: demux_lp02},
                           Side.RECEIVER)
-    return LinkPlan(
-        fiber=FiberSpec.fmf(*attenuation),
-        length_km=0.0,
-        scheme=MultiplexScheme.named(scheme),
-        quantum_path_components=(mux, demux),
-        classical_path_components=(mux, demux),
-    )
+    return FiberSpec.fmf(*attenuation), (mux, demux)
+
+
+def _link(scheme: SchemeName, fiber: FiberSpec,
+          components: tuple[ComponentSpec, ...]) -> LinkPlan:
+    """A zero-length link whose two channels pass the same components."""
+    return LinkPlan(fiber, 0.0, MultiplexScheme.named(scheme), components,
+                    components)
 
 
 def _baseline(name: str, link: LinkPlan) -> Scenario:
@@ -88,19 +85,19 @@ def _baseline(name: str, link: LinkPlan) -> Scenario:
     )
 
 
-_LP02IN = _baseline("lp02in", _fmf_link(SchemeName.LP02_IN))
+_LP02IN = _baseline("lp02in", _link(SchemeName.LP02_IN, *_fmf_parts()))
 _FIG4_POWER = _replace(_LP02IN, name="fig4-power", adaptive_power=True)
-_FIG4_POWER_FMF = _replace(_FIG4_POWER, name="fig4-power-fmf", link=_fmf_link(
-    SchemeName.LP02_IN, attenuation=(ULL_ATTENUATION_DB_PER_KM,) * 2,
-    coupler_il=(ULL_COUPLER_IL_DB,) * 4))
+_FIG4_POWER_FMF = _replace(_FIG4_POWER, name="fig4-power-fmf", link=_link(
+    SchemeName.LP02_IN, *_fmf_parts(attenuation=(ULL_ATTENUATION_DB_PER_KM,) * 2,
+                                    coupler_il=(ULL_COUPLER_IL_DB,) * 4)))
 _FIG4_FULL = _replace(_FIG4_POWER_FMF, name="fig4-full", detector=_replace(
     _FIG4_POWER_FMF.detector, efficiency=IMPROVED_DETECTOR_EFFICIENCY,
     dark_count_per_gate=(IMPROVED_DARK_RATE_CPS
                          / _FIG4_POWER_FMF.detector.gate_hz)))
 
 _PRESETS = {scenario.name: scenario for scenario in (
-    _baseline("smf", _smf_link()),
-    _baseline("lp01in", _fmf_link(SchemeName.LP01_IN)),
+    _baseline("smf", _link(SchemeName.SMF, *_smf_parts())),
+    _baseline("lp01in", _link(SchemeName.LP01_IN, *_fmf_parts())),
     _LP02IN, _FIG4_POWER, _FIG4_POWER_FMF, _FIG4_FULL,
 )}
 

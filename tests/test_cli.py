@@ -357,6 +357,15 @@ def test_unknown_preset_exit_1(capsys):
     assert "unknown preset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ("sweep", "max-distance"))
+def test_empty_preset_name_exit_1(verb, capsys):
+    # An empty name is a preset name like any other, not a missing one.
+    assert main([verb, "--preset", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qkdcoex: unknown preset ''; available: ")
+
+
 def test_invalid_scenario_file_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(SCENARIO_INI.replace("0.190", "-0.190"), encoding="utf-8")
@@ -463,6 +472,19 @@ def test_out_path_that_cannot_be_opened_exit_1(verb, tmp_path, capsys):
         f"qkdcoex: cannot write results to {path}: [Errno 2]")
     assert captured.err.count("\n") == 1
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("verb", _OUT_VERBS)
+def test_empty_out_path_exit_1(verb, tmp_path, monkeypatch, capsys):
+    # An empty path is a path that cannot be opened, not a request for stdout.
+    argv = _out_argv(verb, tmp_path) + ["--out", ""]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qkdcoex: cannot write results to : [Errno 2]")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # /dev/full opens, and every write to it fails with ENOSPC.

@@ -14,7 +14,8 @@ import pytest
 from qkdcoex import config
 from qkdcoex.decoy import DecoyIntensities, DetectorSpec, ProtocolParams
 from qkdcoex.errors import ConfigError
-from qkdcoex.link import Band
+from qkdcoex.link import (Band, ComponentSpec, FiberSpec, LinkPlan, Mode,
+                          MultiplexScheme, Side)
 from qkdcoex.presets import get_preset
 from qkdcoex.scenario import Scenario
 
@@ -116,6 +117,47 @@ def test_fiber_kind_and_scheme_must_agree(kind, scheme, needs, tmp_path):
     with pytest.raises(ConfigError,
                        match=f"scheme {scheme} requires an {needs} link"):
         _load(tmp_path, text)
+
+
+def _direct_link(kind, scheme_name):
+    """The LinkPlan of MANDATORY[kind] with `scheme_name` and 1.5 dB and
+    0.25 dB of extra loss on the quantum and classical paths, built here."""
+    scheme = MultiplexScheme.named(scheme_name)
+    if kind == "smf":
+        fiber = FiberSpec.smf(0.190, 0.192)
+        mux = ComponentSpec("dwdm-mux", {Mode.FUNDAMENTAL: 0.49}, Side.TRANSMITTER)
+        demux = ComponentSpec("dwdm-demux", {Mode.FUNDAMENTAL: 0.36}, Side.RECEIVER)
+    else:
+        fiber = FiberSpec.fmf(0.226, 0.257)
+        mux = ComponentSpec("mode-mux", {Mode.LP01: 2.60, Mode.LP02: 3.70},
+                            Side.TRANSMITTER)
+        demux = ComponentSpec("mode-demux", {Mode.LP01: 2.30, Mode.LP02: 3.20},
+                              Side.RECEIVER)
+    return LinkPlan(fiber, 0.0, scheme, (mux, demux, ComponentSpec(
+        "quantum-extra", {scheme.quantum_mode: 1.5}, Side.TRANSMITTER)),
+        (mux, demux, ComponentSpec(
+            "classical-extra", {scheme.classical_mode: 0.25}, Side.TRANSMITTER)))
+
+
+@pytest.mark.parametrize("kind, scheme", [
+    ("smf", "smf"), ("fmf", "lp01in"), ("fmf", "lp02in")])
+def test_extra_components_join_a_link_built_once(kind, scheme, tmp_path,
+                                                 monkeypatch):
+    text = re.sub(r"scheme = \w+", f"scheme = {scheme}", MANDATORY[kind]).replace(
+        "[components]\n", "[components]\nquantum_extra_il_db = 1.5\n"
+                          "classical_extra_il_db = 0.25\n")
+    expected = _direct_link(kind, scheme)
+    built, post_init = [], LinkPlan.__post_init__
+
+    def counted(link):
+        built.append(link)
+        post_init(link)
+
+    monkeypatch.setattr(LinkPlan, "__post_init__", counted)
+    scenario, _ = _load(tmp_path, text)
+    assert scenario.link == expected
+    assert repr(scenario.link) == repr(expected)
+    assert built == [scenario.link]
 
 
 @pytest.mark.parametrize("section, key, raw, target, value", OPTIONAL,
