@@ -108,11 +108,6 @@ class DetectorSpec:
                               f"{self.num_detectors!r}")
         if self.num_detectors < 1:
             raise ConfigError(f"need >= 1 detector, got {self.num_detectors}")
-        try:
-            float(self.num_detectors)   # the dark-count term multiplies by it
-        except OverflowError:
-            raise ConfigError("detector num_detectors is too large to "
-                              "convert to a float") from None
 
 
 @_record
@@ -428,6 +423,28 @@ def secure_key_rate_bps(ch: ChannelPoint, intensities: DecoyIntensities,
     return key_rate_details(ch, intensities, params).rate_bps
 
 
+def _check_search(from_km: float, to_km: float, coarse_step_km: float,
+                  resolution_km: float) -> None:
+    """Raise DomainError unless `find_rate_cliff` can search this range:
+    finite floats (an int too large for a float is not one), a non-empty
+    range, steps > 0 and a coarse grid of at most _MAX_GRID_POINTS."""
+    try:
+        finite = all(map(math.isfinite,
+                         (from_km, to_km, coarse_step_km, resolution_km)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"search range and steps must be finite, got "
+                          f"[{from_km}, {to_km}], {coarse_step_km}, {resolution_km}")
+    if to_km < from_km:
+        raise DomainError(f"empty search range [{from_km}, {to_km}]")
+    if coarse_step_km <= 0.0 or resolution_km <= 0.0:
+        raise DomainError("steps must be > 0")
+    if (to_km - from_km) / coarse_step_km >= _MAX_GRID_POINTS:
+        raise DomainError(f"coarse grid over [{from_km}, {to_km}] km at "
+                          f"{coarse_step_km} km exceeds {_MAX_GRID_POINTS} points")
+
+
 def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
                     to_km: float, coarse_step_km: float = 1.0,
                     resolution_km: float = 0.01,
@@ -463,16 +480,7 @@ def find_rate_cliff(rate_fn: Callable[[float], float], from_km: float,
     bisection step that cannot split its interval (a resolution below the
     float resolution there), after the grid points are evaluated.
     """
-    if not all(map(math.isfinite, (from_km, to_km, coarse_step_km, resolution_km))):
-        raise DomainError(f"search range and steps must be finite, got "
-                          f"[{from_km}, {to_km}], {coarse_step_km}, {resolution_km}")
-    if to_km < from_km:
-        raise DomainError(f"empty search range [{from_km}, {to_km}]")
-    if coarse_step_km <= 0.0 or resolution_km <= 0.0:
-        raise DomainError("steps must be > 0")
-    if (to_km - from_km) / coarse_step_km >= _MAX_GRID_POINTS:
-        raise DomainError(f"coarse grid over [{from_km}, {to_km}] km at "
-                          f"{coarse_step_km} km exceeds {_MAX_GRID_POINTS} points")
+    _check_search(from_km, to_km, coarse_step_km, resolution_km)
 
     # The grid is from_km, each running sum of the step below to_km, and
     # min(the next sum, to_km). A sum that the step does not advance stalls
@@ -551,12 +559,15 @@ def _dark_yield(detector: DetectorSpec, clock_hz: float) -> float:
             * (detector.gate_hz / clock_hz))
 
 
-def _y0_step(dark: float, divisor_hz: float) -> Callable[[float], float]:
+def _y0_step(dark: float, divisor_hz: float,
+             ceiling: float = 1.0) -> Callable[[float], float]:
     """The Y0 step with its constants bound once: `y0(noise_rate_cps)` is
-    min(1, dark + min(1, noise_rate_cps / divisor_hz)), the noise rate
-    taken per pulse and clamped, then added to the dark-count term."""
+    min(ceiling, dark + min(1, noise_rate_cps / divisor_hz)), the noise
+    rate taken per pulse and clamped, then added to the dark-count term.
+    The public functions keep the ceiling 1; the scenario engine passes
+    the largest float below 1, as a `ChannelPoint` needs Y0 < 1."""
     def y0(noise_rate_cps: float) -> float:
-        return min(1.0, dark + min(1.0, noise_rate_cps / divisor_hz))
+        return min(ceiling, dark + min(1.0, noise_rate_cps / divisor_hz))
     return y0
 
 

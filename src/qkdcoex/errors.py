@@ -50,8 +50,9 @@ class NoSecureDistanceError(ComputationError):
 
 
 def _floats(value):
-    """The floats in `value`: itself, or those inside a mapping or sequence."""
-    if isinstance(value, float):
+    """The numbers in `value`, floats and ints (a bool is an int): itself,
+    or those inside a mapping or sequence."""
+    if isinstance(value, (float, int)):
         yield value
     elif isinstance(value, (Mapping, tuple, list)):
         for item in (value.values() if isinstance(value, Mapping) else value):
@@ -59,11 +60,17 @@ def _floats(value):
 
 
 def _require_finite(where: str, **values) -> None:
-    """Raise ConfigError naming the first value that holds a NaN or an
-    infinity; a range check alone lets NaN through (every comparison with it
-    is false)."""
+    """Raise ConfigError naming the first value that holds a NaN, an
+    infinity or an int too large to convert to a float; a range check alone
+    lets NaN through (every comparison with it is false), and such an int
+    raises `OverflowError` wherever float arithmetic meets it."""
     for name, value in values.items():
-        if not all(map(math.isfinite, _floats(value))):
+        try:
+            finite = all(map(math.isfinite, _floats(value)))
+        except OverflowError:
+            raise ConfigError(f"{where} {name} is too large to convert to "
+                              f"a float") from None
+        if not finite:
             raise ConfigError(f"{where} {name} must be finite, got {value!r}")
 
 

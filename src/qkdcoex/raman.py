@@ -160,17 +160,23 @@ def read_measurements_csv(path: str | os.PathLike) -> tuple[NoiseMeasurement, ..
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.DictReader(lines)
-    if reader.fieldnames != expected:
-        raise ConfigError(
-            f"{path}: expected header {','.join(expected)}, "
-            f"got {reader.fieldnames}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            values = [float(row[k]) for k in expected]
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}:{lineno}: non-numeric field") from None
-        out.append(NoiseMeasurement(*values))
+    # csv reads lazily, so a field over csv.field_size_limit() raises
+    # csv.Error wherever the header or a row is read.
+    try:
+        if reader.fieldnames != expected:
+            raise ConfigError(
+                f"{path}: expected header {','.join(expected)}, "
+                f"got {reader.fieldnames}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                values = [float(row[k]) for k in expected]
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{path}:{lineno}: non-numeric field") from None
+            out.append(NoiseMeasurement(*values))
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return tuple(out)
 
 

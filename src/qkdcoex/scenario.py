@@ -23,8 +23,8 @@ from itertools import islice
 
 from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     DetectorSpec, DistanceResult, ProtocolParams, _dark_yield,
-                    _decoy_steps, _kernel, _rate_bound, _rate_per_pulse,
-                    _y0_step, dbm_to_mw, find_rate_cliff)
+                    _check_search, _decoy_steps, _kernel, _rate_bound,
+                    _rate_per_pulse, _y0_step, dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
                      DomainError, QkdCoexError, _record, _replace,
                      _require_finite)
@@ -175,7 +175,8 @@ def _resolve(scenario: Scenario):
     detector, protocol = scenario.detector, scenario.protocol
     divisor = (detector.gate_hz if scenario.noise_divisor == "gate"
                else protocol.clock_hz)
-    y0_of = _y0_step(_dark_yield(detector, protocol.clock_hz), divisor)
+    y0_of = _y0_step(_dark_yield(detector, protocol.clock_hz), divisor,
+                     _Y0_MAX)
     efficiency = detector.efficiency
     inf = math.inf
 
@@ -190,8 +191,7 @@ def _resolve(scenario: Scenario):
         launch = min(needed, cap) if adaptive else cap
         srs = _srs_rate(dbm_to_mw(launch), rho, d, alpha_r)
         # quantum_loss >= 0 for d >= 0: the check of `transmittance` holds
-        return (quantum_loss, classical_loss, needed, launch, srs,
-                min(y0_of(srs), _Y0_MAX),
+        return (quantum_loss, classical_loss, needed, launch, srs, y0_of(srs),
                 _transmittance(quantum_loss) * efficiency,
                 launch + _FEASIBILITY_TOL_DB >= needed)
 
@@ -227,8 +227,7 @@ def _resolve(scenario: Scenario):
                 return None     # a point costs what its rate costs
             _, _, _, _, srs, _, eta, _ = channel(a)
             return zero(_transmittance(_loss_db(alpha_q, il_q, b)) * efficiency,
-                        eta, min(y0_of(srs * 10.0 ** (-alpha_r * (b - a) / 10.0)),
-                                 _Y0_MAX))
+                        eta, y0_of(srs * 10.0 ** (-alpha_r * (b - a) / 10.0)))
         return zero_on
 
     return channel, _kernel(scenario.intensities, protocol), certificate
@@ -467,6 +466,9 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
     """
     if from_km < 0.0:
         raise ConfigError(f"link length must be >= 0 km, got {from_km}")
+    # The certificate reads the losses at to_km, so the range is checked
+    # before it is built.
+    _check_search(from_km, to_km, coarse_step_km, resolution_km)
     channel, key, certificate = _resolve(scenario)
 
     def rate(d: float) -> float:

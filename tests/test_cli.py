@@ -17,9 +17,9 @@ from qkdcoex import scenario as scenario_mod
 from qkdcoex.cli import build_parser, main
 from qkdcoex.config import load_scenario
 from qkdcoex.errors import DomainError
-from qkdcoex.scenario import (CalibrationTarget, SweepSpec, calibrate,
-                              channel_state, evaluate_at, max_secure_distance,
-                              run_sweep)
+from qkdcoex.scenario import (RESULT_FIELDS, CalibrationTarget, SweepSpec,
+                              calibrate, channel_state, evaluate_at,
+                              max_secure_distance, run_sweep)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "qkdbench"))
 import inputs  # noqa: E402
@@ -43,6 +43,17 @@ from_km = 0
 to_km = 5
 step_km = 1
 """
+# The same link without a [sweep] section: the smf preset's values.
+SMF_INI = SCENARIO_INI[:SCENARIO_INI.index("\n[sweep]")] + "\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python_m(*argv):
+    """`python -m qkdcoex *argv` in a fresh interpreter: an exception that
+    escapes `main` shows there as a traceback on stderr."""
+    return subprocess.run([sys.executable, "-m", "qkdcoex", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True)
 
 
 def test_presets_list(capsys):
@@ -59,6 +70,17 @@ def test_sweep_stdout_csv(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("distance_km,launch_power_dbm,")
     assert len(lines) == 5
+
+
+def test_sweep_stdout_csv_default_step(capsys):
+    # The default grid from 0 km at 1 km: the RESULT_FIELDS header and one
+    # row per km.
+    assert main(["sweep", "--preset", "smf", "--to-km", "2",
+                 "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(RESULT_FIELDS)
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "0.e+00", "1.e+00", "2.e+00"]
 
 
 def test_sweep_json_out_file(tmp_path, capsys):
@@ -143,6 +165,24 @@ def test_max_distance_overflowing_power_exit_1(tmp_path, capsys):
                             "convert to mW\n")
 
 
+# Above that INI's classical cliff (about 21,000 km) the budget-on search
+# still probes the channel wherever one may raise, so it fails as the sweep
+# does instead of reporting no secure distance (exit 2).
+@pytest.mark.parametrize("argv", [
+    ["max-distance", "--from-km", "30000", "--to-km", "30300"],
+    ["sweep"],
+], ids=["max-distance-above-cliff", "sweep"])
+def test_overflowing_power_raises_wherever_probed(argv, tmp_path, capsys):
+    path = tmp_path / "overflow.ini"
+    path.write_text(SMF_INI + "\n[classical]\nlaunch_power_dbm = 4000\n",
+                    encoding="utf-8")
+    assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qkdcoex: power 4000.0 dBm is too large to "
+                            "convert to mW\n")
+
+
 # Links whose losses overflow a float, with a sweep that reaches the
 # overflow: (INI, --from-km, --to-km). The first one's insertion losses
 # alone overflow; the second one's loss does only at 1.79e308 km.
@@ -188,6 +228,24 @@ def test_max_distance_overflowing_loss_exit_1(case, budget, tmp_path, capsys):
     path.write_text(ini, encoding="utf-8")
     assert main(["max-distance", "--scenario", str(path), "--from-km",
                  from_km, "--to-km", to_km, *budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"qkdcoex: link budget overflows a float at \S+ km\n",
+                        captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--to-km", "1", "--step-km", "1"],
+    ["max-distance"],
+    ["max-distance", "--ignore-classical-budget"],
+], ids=["sweep", "max-distance", "max-distance-rate-only"])
+def test_overflowing_insertion_loss_default_range_exit_1(argv, tmp_path,
+                                                         capsys):
+    # The flags' own range, from 0 km: each verb fails with one line.
+    path = tmp_path / "lossy.ini"
+    path.write_text(SMF_INI.replace("= 0.49", "= 1.7e308").replace(
+        "= 0.36", "= 1.7e308"), encoding="utf-8")
+    assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"qkdcoex: link budget overflows a float at \S+ km\n",
@@ -285,6 +343,17 @@ def test_fit_raman(tmp_path, capsys):
     assert payload["rho_cps_per_mw_km"] == pytest.approx(2655.0, rel=1e-9)
 
 
+def test_fit_raman_text(tmp_path, capsys):
+    path = tmp_path / "noise.csv"
+    path.write_text("distance_km,power_mw,rate_cps\n10,0.5,9000\n"
+                    "25,0.5,13000\n50,0.5,12500\n", encoding="utf-8")
+    assert main(["fit-raman", "--measurements", str(path),
+                 "--alpha-db-per-km", "0.2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "rho = 3488.48 cps/(mW km) from 3 measurement(s)\n"
+    assert captured.err == ""
+
+
 def _measurements_csv(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("distance_km,power_mw,rate_cps\n10,0.5,5000\n50,0.5,8000\n",
@@ -311,6 +380,25 @@ def test_fit_raman_missing_file_exit_1(tmp_path, capsys):
         f"qkdcoex: cannot read measurements file {path}: [Errno 2]")
 
 
+# A field longer than csv's limit (131,072 characters), in the header and
+# in a data row.
+@pytest.mark.parametrize("text", [
+    "distance_km,power_mw,rate_cps" + "x" * 131_073 + "\n10,0.5,5000\n",
+    "distance_km,power_mw,rate_cps\n10,0.5,5000\n25,0.5,"
+    + "1" * 131_073 + "\n",
+], ids=["header", "row"])
+def test_fit_raman_oversized_field_exit_1(text, tmp_path):
+    path = tmp_path / "noise.csv"
+    path.write_text(text, encoding="utf-8")
+    proc = _python_m("fit-raman", "--measurements", str(path),
+                     "--alpha-db-per-km", "0.2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"qkdcoex: {path}: field larger than field limit "
+                           f"(131072)\n")
+
+
 # 10**400 detectors: an int too large for a float, which the dark-count
 # term of Y0 needs.
 @pytest.mark.parametrize("argv", (
@@ -325,6 +413,20 @@ def test_overflowing_num_detectors_exit_1(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("qkdcoex: detector num_detectors is too large "
+                            "to convert to a float\n")
+
+
+# 10**400 bits: block_size_bits enters no computation, but an int beyond
+# the float range is rejected like any other number of the file.
+@pytest.mark.parametrize("verb", ["max-distance", "sweep"])
+def test_overflowing_block_size_exit_1(verb, tmp_path, capsys):
+    path = tmp_path / "block.ini"
+    path.write_text(SMF_INI + "\n[quantum]\nblock_size_bits = 1"
+                    + "0" * 400 + "\n", encoding="utf-8")
+    assert main([verb, "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qkdcoex: protocol block_size_bits is too large "
                             "to convert to a float\n")
 
 
@@ -378,15 +480,40 @@ def test_stray_percent_in_ini_exit_1(tmp_path):
     path = tmp_path / "pct.ini"
     path.write_text(SCENARIO_INI + "\n[classical]\nlaunch_power_dbm = -2.6%\n",
                     encoding="utf-8")
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "qkdcoex", "max-distance", "--scenario", str(path)],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+    proc = _python_m("max-distance", "--scenario", str(path))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(
         f"qkdcoex: scenario file {path}: [classical] launch_power_dbm: ")
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["presets", "list"], None),
+    (["max-distance", "--preset", "fig4-full"],
+     "fig4-full: max secure distance 179.09 km\n"),
+    (["max-distance", "--preset", "smf", "--format", "json"], None),
+], ids=["presets", "max-distance", "max-distance-json"])
+def test_module_entry_point(argv, stdout, capsys):
+    # `python -m qkdcoex` prints what `main` prints and exits with its code.
+    proc = _python_m(*argv)
+    assert main(argv) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, capsys.readouterr().out, "")
+    if stdout is not None:
+        assert proc.stdout == stdout
+
+
+def test_unparsed_argument_exit_1(capsys):
+    # Arguments the verb leaves unparsed are a usage error of the top-level
+    # parser, named by its prog.
+    with pytest.raises(SystemExit) as exc:
+        main(["max-distance", "--preset", "smf", "bogus"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "qkdcoex: error: unrecognized arguments: bogus")
 
 
 def test_usage_error_exit_1(capsys):
@@ -496,6 +623,36 @@ def test_out_write_error_after_open_exit_2(verb, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("qkdcoex: computation failed: cannot write "
                                    "results to /dev/full: [Errno 28]")
+
+
+def test_stdout_write_error_exit_2(monkeypatch, capsys):
+    # An OSError from writing to stdout (a closed pipe) is a failure of the
+    # run, not a usage problem, and not a traceback.
+    class ClosedPipe(io.StringIO):
+        def writelines(self, lines):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["max-distance", "--preset", "smf"]) == 2
+    assert capsys.readouterr().err == "qkdcoex: [Errno 32] Broken pipe\n"
+
+
+def test_foreign_exception_in_sweep_exit_2(monkeypatch, capsys):
+    # An exception that is not one of the package's own becomes a
+    # computation failure naming the scenario and the distance.
+    point = scenario_mod._point
+
+    def failing(channel, key, d):
+        if d == 2.0:
+            raise ArithmeticError("injected")
+        return point(channel, key, d)
+
+    monkeypatch.setattr(scenario_mod, "_point", failing)
+    assert main(["sweep", "--preset", "smf", "--to-km", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qkdcoex: computation failed: sweep of 'smf' "
+                            "failed at 2.0 km: injected\n")
 
 
 # Extreme values for any numeric INI key: signed zeros, subnormals, values

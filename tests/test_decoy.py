@@ -91,6 +91,12 @@ class TestTypes:
         with pytest.raises(ConfigError, match="num_detectors must be an int"):
             DetectorSpec(num_detectors=count)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_detector_count_below_one(self, count):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"need >= 1 detector, got {count}")):
+            DetectorSpec(num_detectors=count)
+
     @pytest.mark.parametrize("size", [2.5, 500000.0, -1, 0, True, "4", None])
     def test_block_size_must_be_a_positive_int(self, size):
         with pytest.raises(ConfigError,
@@ -214,6 +220,20 @@ class TestDecoyBounds:
         with pytest.raises(ConfigError):
             DecoyIntensities(mu=0.2, nu=0.2)
 
+    def test_e1_negative_from_rounding_clamps(self):
+        # With nu below the float resolution at 1, e^nu rounds to 1.0, and
+        # with ed = 0 the numerator of e1U is (Y0/2 / Qnu) * Qnu - Y0/2: a
+        # rounding error, here one ulp below zero, which the kernel clamps.
+        intensities = DecoyIntensities(mu=0.5, nu=1e-16)
+        y0 = 2.648215181979686e-17
+        b = key_rate_details(ChannelPoint(0.21346629008185763, y0),
+                             intensities, params(ed=0.0))
+        assert b.y1_lower > 0.0
+        assert b.e_nu * b.q_nu * math.exp(intensities.nu) - 0.5 * y0 < 0.0
+        assert (b.e1_upper, b.clamp_events) == (0.0, 1)
+        assert e1_upper_bound(b.q_nu, b.e_nu, intensities.nu, b.y1_lower,
+                              y0) == 0.0
+
     def test_safety_against_oracle_sample(self):
         # small randomized scan; the full 1e4-point suite runs in acceptance
         rng = np.random.default_rng(11)
@@ -336,6 +356,26 @@ class TestMaxDistance:
 
         with pytest.raises(DomainError, match=message):
             find_rate_cliff(rate, *args)
+
+    # An int beyond the float range is no finite distance: each search
+    # refuses it before anything reads a loss or a rate at it.
+    @pytest.mark.parametrize("search", [
+        lambda r: find_rate_cliff(lambda d: 50.0 - d, *r),
+        lambda r: max_secure_distance_km(lambda d: ChannelPoint(0.1, 0.0),
+                                         INT, PARAMS, r[:2], *r[2:]),
+        lambda r: max_secure_distance(get_preset("smf"), *r[:2],
+                                      coarse_step_km=r[2], resolution_km=r[3]),
+        lambda r: max_secure_distance(get_preset("fig4-full"), *r[:2],
+                                      require_classical_feasible=False,
+                                      coarse_step_km=r[2], resolution_km=r[3]),
+    ], ids=["find_rate_cliff", "max_secure_distance_km",
+            "max_secure_distance", "max_secure_distance-rate-only"])
+    @pytest.mark.parametrize("search_range", [
+        (0, 2**1100, 1.0, 0.01), (0.0, 300.0, 2**1100, 0.01),
+        (0.0, 300.0, 1.0, 2**1100)], ids=["to", "step", "resolution"])
+    def test_int_beyond_float_range_rejected(self, search, search_range):
+        with pytest.raises(DomainError, match="must be finite"):
+            search(search_range)
 
 
 def _coarse_grid(from_km, to_km, coarse_step_km):

@@ -8,6 +8,8 @@ through `np.format_float_scientific(v, unique=True)` for CSV, and
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -141,6 +143,45 @@ def test_dense_sweep_memory():
     assert lines == 30_002
     assert held <= 4e6 and built <= 3.5e6
     assert emitted["csv"] <= 1e6 and emitted["json"] <= 1e6
+
+
+# The same sweep through `main` to an --out file, in a fresh interpreter
+# that has imported numpy: peak RSS counts what tracemalloc does not see
+# (numpy's formatter, the file buffer, allocator slack). The child prints
+# its exit code and the growth of its peak RSS in KiB. The peak is VmHWM,
+# the high-water mark of the child's own memory map: a child's ru_maxrss
+# starts at its parent's peak on Linux, so it would read 0 under pytest.
+_DENSE_SWEEP = """
+import sys
+from qkdcoex.cli import main
+from qkdcoex.scenario import _scientific
+
+def peak_kib():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+_scientific()
+before = peak_kib()
+code = main(["sweep", "--preset", "fig4-full", "--to-km", "300",
+             "--step-km", "0.01", "--out", sys.argv[1]])
+print(code, peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status (Linux)")
+def test_dense_sweep_peak_rss(tmp_path):
+    out = tmp_path / "dense.csv"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _DENSE_SWEEP, str(out)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    code, grown_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert grown_kib <= 12 * 1024
+    with open(out, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 30_002
 
 
 @given(value=st.one_of(st.sampled_from(CORPUS),

@@ -78,3 +78,32 @@ def test_overflowing_num_detectors_rejected():
         replace(_SMF.detector, num_detectors=10**400)
     wide = replace(_SMF, detector=replace(_SMF.detector, num_detectors=10**300))
     assert math.isfinite(evaluate_at(wide, 10.0).y0)
+
+
+# An int is finite, but one beyond the float range raises OverflowError
+# wherever float arithmetic meets it: each record rejects it when built.
+_HUGE = 2**1100
+
+
+@pytest.mark.parametrize("value", [_HUGE, -_HUGE],
+                         ids=["2**1100", "-2**1100"])
+@pytest.mark.parametrize("build", [b for _, b in _CASES],
+                         ids=[label for label, _ in _CASES])
+def test_int_beyond_float_range_rejected(build, value):
+    with pytest.raises(ConfigError):
+        build(value)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SweepSpec(0, _HUGE, 1), "sweep to_km"),
+    (lambda: DecoyIntensities(mu=_HUGE), "intensities mu"),
+    (lambda: DetectorSpec(gate_hz=_HUGE), "detector gate_hz"),
+    (lambda: DetectorSpec(num_detectors=-_HUGE), "detector num_detectors"),
+    (lambda: ProtocolParams(clock_hz=_HUGE), "protocol clock_hz"),
+    (lambda: ProtocolParams(block_size_bits=_HUGE),
+     "protocol block_size_bits"),
+], ids=["sweep", "intensities", "gate", "detectors", "clock", "block"])
+def test_int_beyond_float_range_named(build, message):
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert str(exc.value) == f"{message} is too large to convert to a float"

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -179,6 +180,19 @@ class TestValidation:
     def test_missing_fiber_entry(self):
         with pytest.raises(ConfigError, match="missing entry"):
             FiberSpec(FiberKind.FMF, {(Mode.LP01, Band.QUANTUM): 0.2})
+
+    def test_attenuation_of_a_mode_the_fiber_lacks(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "no attenuation entry for (lp01, quantum)")):
+            FiberSpec.smf().attenuation(Mode.LP01, Band.QUANTUM)
+
+    @pytest.mark.parametrize("direction", ["lp01in", "lp02in"])
+    def test_isolation_table_without_rows(self, direction):
+        rows = {"lp01_in": ((0.0, 20.0),), "lp02_in": ((0.0, 20.0),)}
+        rows[direction.replace("in", "_in")] = []
+        with pytest.raises(ConfigError,
+                           match=f"isolation table {direction}: no rows"):
+            IsolationTable(**rows)
 
     def test_negative_component_loss(self):
         with pytest.raises(ConfigError, match=">= 0"):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -193,6 +194,19 @@ class TestMeasurementCsv:
         with pytest.raises(ConfigError, match=":3"):
             read_measurements_csv(path)
 
+    # csv refuses a field longer than csv.field_size_limit() (131,072
+    # characters by default), in the header as in a row.
+    @pytest.mark.parametrize("text", [
+        "distance_km,power_mw,rate_cps" + "x" * 131_073 + "\n10,0.5,5000\n",
+        "distance_km,power_mw,rate_cps\n10,0.5," + "5" * 131_073 + "\n",
+    ], ids=["header", "row"])
+    def test_oversized_field(self, text, tmp_path):
+        path = tmp_path / "noise.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: field larger than field limit")):
+            read_measurements_csv(path)
+
 
 class TestSuppression:
     def test_coefficient_level(self):
@@ -211,6 +225,11 @@ class TestSuppression:
             coefficient_suppression(0.0, (1.0,))
         with pytest.raises(DomainError):
             detected_count_suppression((1.0, 0.2), [(1.0, 0.2)], [])
+
+    def test_overflowing_ratio_rejected(self):
+        # 1e10 / 1e-300 overflows: the reduction at 10 km is -inf
+        with pytest.raises(DomainError, match="suppression is not finite"):
+            detected_count_suppression((1e-300, 0.2), [(1e10, 0.2)], [10.0])
 
     def test_no_fmf_entries_rejected(self):
         # the FMF mean divided by zero: a bare ZeroDivisionError

@@ -199,6 +199,13 @@ def test_adaptive_power_must_be_a_bool(adaptive):
         replace(get_preset("smf"), adaptive_power=adaptive)
 
 
+def test_channel_point_of_a_channel_state():
+    state = channel_state(get_preset("lp02in"), 86.0)
+    point = state.channel_point()
+    assert (point.eta, point.y0) == (state.eta, state.y0)
+    assert 0.0 < point.eta < 1.0 and 0.0 < point.y0 < 1.0
+
+
 class TestSweep:
     def test_grid_size(self):
         for spec, size in ((SweepSpec(0.0, 100.0, 1.0), 101),
@@ -522,6 +529,12 @@ class TestCalibration:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             calibrate([get_preset("smf")], [])
+
+    def test_length_mismatch_with_targets(self):
+        target = CalibrationTarget(63.0, 2300.0, 0.04)
+        with pytest.raises(ConfigError,
+                           match="^got 2 scenarios for 1 targets$"):
+            calibrate([get_preset("smf")] * 2, [target])
 
     def test_unreachable_targets_fail(self):
         # at 300 km the smf key rate is zero for every (ed, f)
