@@ -24,7 +24,8 @@ from functools import partial
 from itertools import accumulate, repeat, takewhile
 
 from .errors import (ConfigError, DomainError, NoSecureDistanceError,
-                     UndefinedBoundError, _record, _require_finite)
+                     UndefinedBoundError, _finite, _record, _require_finite,
+                     _require_real)
 
 _PROB_SUM_TOL = 1e-12
 # Error rate e0 of a background (dark or noise) count: a random bit. It is a
@@ -360,6 +361,7 @@ def gain_and_qber(intensity: float, ch: ChannelPoint,
     Q = Y0 + 1 - exp(-eta*intensity); E*Q = e0*Y0 + ed*(1 - exp(-eta*intensity)).
     A dead channel (Q == 0) reports the background error e0.
     """
+    _require_real("gain_and_qber", **locals())
     if not 0.0 <= intensity < math.inf:
         raise DomainError(f"intensity must be finite and >= 0, got {intensity}")
     signal = -math.expm1(-ch.eta * intensity)
@@ -372,6 +374,7 @@ def y1_lower_bound(q_mu: float, q_nu: float, intensities: DecoyIntensities,
                    y0: float) -> float:
     """Lower bound on the single-photon yield from the signal and decoy
     gains, clamped to [0, 1]; 0.0 when q_nu is subnormal (`_GAIN_MIN`)."""
+    _require_real("y1_lower_bound", **locals())
     mu, nu = intensities.mu, intensities.nu
     raw = (mu / (mu * nu - nu * nu)) * (
         q_nu * math.exp(nu)
@@ -391,6 +394,7 @@ def y1_lower_bound(q_mu: float, q_nu: float, intensities: DecoyIntensities,
 def e1_upper_bound(q_nu: float, e_nu: float, nu: float, y1_lower: float,
                    y0: float, e0: float = _E0) -> float:
     """Upper bound on the single-photon error rate, clamped to [0, 0.5]."""
+    _require_real("e1_upper_bound", **locals())
     if y1_lower <= 0.0:
         raise UndefinedBoundError(
             "single-photon yield bound is zero; key rate is zero"
@@ -428,12 +432,7 @@ def _check_search(from_km: float, to_km: float, coarse_step_km: float,
     """Raise DomainError unless `find_rate_cliff` can search this range:
     finite floats (an int too large for a float is not one), a non-empty
     range, steps > 0 and a coarse grid of at most _MAX_GRID_POINTS."""
-    try:
-        finite = all(map(math.isfinite,
-                         (from_km, to_km, coarse_step_km, resolution_km)))
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not _finite((from_km, to_km, coarse_step_km, resolution_km)):
         raise DomainError(f"search range and steps must be finite, got "
                           f"[{from_km}, {to_km}], {coarse_step_km}, {resolution_km}")
     if to_km < from_km:
@@ -582,6 +581,7 @@ def background_yield(detector: DetectorSpec, params: ProtocolParams,
     rate must already be a detected rate; no efficiency scaling is applied
     here.
     """
+    _require_real("background_yield", **locals())
     if not noise_rate_cps >= 0.0:
         raise DomainError(f"noise rate must be >= 0, got {noise_rate_cps}")
     divisor = params.clock_hz if per_pulse_divisor_hz is None else per_pulse_divisor_hz

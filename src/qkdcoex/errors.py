@@ -59,18 +59,32 @@ def _floats(value):
             yield from _floats(item)
 
 
-def _require_finite(where: str, **values) -> None:
-    """Raise ConfigError naming the first value that holds a NaN, an
-    infinity or an int too large to convert to a float; a range check alone
-    lets NaN through (every comparison with it is false), and such an int
-    raises `OverflowError` wherever float arithmetic meets it."""
+def _finite(numbers) -> bool:
+    """Whether each of `numbers` is finite, and an int also fits a float."""
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:
+        return False
+
+
+def _require_real(where: str, error=DomainError, /, **values) -> None:
+    """Raise `error` naming the first value that holds an int too large for
+    a float, on which float arithmetic raises OverflowError. Public functions
+    pass `**locals()` first, and keep their own rule for NaN and infinities."""
     for name, value in values.items():
         try:
-            finite = all(map(math.isfinite, _floats(value)))
+            list(map(float, _floats(value)))
         except OverflowError:
-            raise ConfigError(f"{where} {name} is too large to convert to "
-                              f"a float") from None
-        if not finite:
+            raise error(f"{where} {name} is too large to convert to "
+                        f"a float") from None
+
+
+def _require_finite(where: str, **values) -> None:
+    """Raise ConfigError naming the first value that holds a NaN, an infinity
+    or an int too large for a float; a range check alone lets NaN through."""
+    for name, value in values.items():
+        if not _finite(_floats(value)):
+            _require_real(where, ConfigError, **{name: value})
             raise ConfigError(f"{where} {name} must be finite, got {value!r}")
 
 

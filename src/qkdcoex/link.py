@@ -14,7 +14,8 @@ import enum
 import math
 from collections.abc import Mapping, Sequence
 
-from .errors import ConfigError, DomainError, _record, _require_finite
+from .errors import (ConfigError, DomainError, _record, _require_finite,
+                     _require_real)
 
 
 class Mode(enum.Enum):
@@ -297,6 +298,7 @@ def total_loss_db(plan: LinkPlan, channel: Band) -> float:
 
 def transmittance(loss_db: float) -> float:
     """Linear power transmittance of a dB loss: 10^(-loss/10)."""
+    _require_real("transmittance", **locals())
     if not loss_db >= 0.0:
         raise DomainError(f"loss must be >= 0 dB, got {loss_db}")
     return _transmittance(loss_db)
@@ -326,6 +328,7 @@ def classical_min_launch_power_dbm(plan: LinkPlan,
                                    receiver_sensitivity_dbm: float) -> float:
     """Minimum launch power that still closes the classical link: the
     channel loss plus the receiver sensitivity."""
+    _require_real("classical_min_launch_power_dbm", **locals())
     floor = total_loss_db(plan, Band.CLASSICAL) + receiver_sensitivity_dbm
     if not math.isfinite(floor):
         raise DomainError(f"power floor at sensitivity "

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 
 from .decoy import _y0_step
 from .errors import (ConfigError, DegenerateFitError, DomainError,
-                     _record, _require_finite)
+                     _finite, _record, _require_finite, _require_real)
 from .link import SchemeName
 
 
@@ -87,6 +87,7 @@ def srs_noise_rate_cps(power_mw: float, rho: RamanCoefficient,
     physically zero and carries no exactness promise: rounding at a fixed
     absolute step need not double exactly.
     """
+    _require_real("srs_noise_rate_cps", **locals())
     if not (power_mw >= 0.0 and distance_km >= 0.0 and alpha_db_per_km >= 0.0):
         raise DomainError("power, distance and attenuation must be >= 0")
     return _srs_rate(power_mw, rho.rho_cps_per_mw_km, distance_km,
@@ -95,6 +96,7 @@ def srs_noise_rate_cps(power_mw: float, rho: RamanCoefficient,
 
 def noise_prob_per_pulse(rate_cps: float, clock_hz: float) -> float:
     """Probability of a noise count per pulse slot, clamped to [0, 1]."""
+    _require_real("noise_prob_per_pulse", **locals())
     if not clock_hz > 0.0:
         raise DomainError(f"clock must be > 0 Hz, got {clock_hz}")
     if not rate_cps >= 0.0:
@@ -106,6 +108,7 @@ def noise_prob_per_pulse(rate_cps: float, clock_hz: float) -> float:
 
 def peak_noise_distance_km(alpha_db_per_km: float) -> float:
     """Distance of the interior maximum of the noise curve, 10/(alpha ln 10)."""
+    _require_real("peak_noise_distance_km", **locals())
     if not alpha_db_per_km > 0.0:
         raise DomainError("attenuation must be > 0")
     peak = 10.0 / (alpha_db_per_km * math.log(10.0))
@@ -123,7 +126,7 @@ def fit_raman_coefficient(measurements: Sequence[NoiseMeasurement],
     With model values m_i = P_i * L_i * 10^(-alpha*L_i/10), the minimizer of
     sum((r_i - rho*m_i)^2) is rho = sum(r_i*m_i) / sum(m_i^2).
     """
-    if not (math.isfinite(alpha_db_per_km) and alpha_db_per_km >= 0.0):
+    if not (_finite((alpha_db_per_km,)) and alpha_db_per_km >= 0.0):
         raise DomainError(f"attenuation must be finite and >= 0 dB/km, got "
                           f"{alpha_db_per_km}")
     usable = [m for m in measurements
@@ -184,6 +187,7 @@ def coefficient_suppression(rho_smf: float, rho_fmf: Iterable[float]) -> float:
     """Noise reduction implied by the coefficients alone, before attenuation
     differences: 1 - mean(fmf coefficients) / smf coefficient."""
     fmf = list(rho_fmf)
+    _require_real("coefficient_suppression", rho_smf=rho_smf, rho_fmf=fmf)
     if rho_smf <= 0.0 or not fmf:
         raise DomainError("need a positive SMF coefficient and FMF coefficients")
     suppression = 1.0 - (sum(fmf) / len(fmf)) / rho_smf
@@ -203,6 +207,7 @@ def detected_count_suppression(smf: tuple[float, float],
     averaged and compared against SMF; the per-distance reductions are then
     averaged over the grid. The launch power cancels.
     """
+    _require_real("detected_count_suppression", **locals())
     rho_smf, alpha_smf = smf
     if not distances_km or not fmf:
         raise DomainError("need at least one distance and one FMF entry")

@@ -26,8 +26,8 @@ from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
                     _check_search, _decoy_steps, _kernel, _rate_bound,
                     _rate_per_pulse, _y0_step, dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
-                     DomainError, QkdCoexError, _record, _replace,
-                     _require_finite)
+                     DomainError, QkdCoexError, _finite, _record, _replace,
+                     _require_finite, _require_real)
 from .link import Band, LinkPlan, _loss_db, _path, _transmittance
 from .raman import RamanCoefficient, _srs_rate
 
@@ -157,11 +157,13 @@ def _resolve(scenario: Scenario):
     """Validate once; return `(channel, key, certificate)`: `channel(d)`
     gives the `ChannelState` fields after `distance_km` by float arithmetic
     only, `key` the kernel, and `certificate(to_km, budget)` the `zero_on`
-    of `max_secure_distance`, or None. The link, Raman and Y0 constants are
-    bound here; each step calls the statement its public function calls
-    (`link._loss_db`, `link._transmittance`, `raman._srs_rate`,
-    `decoy._y0_step`), so every value has their bits. Only the power floor,
-    loss + sensitivity, is written here as in
+    of `max_secure_distance`, or None. `channel` takes d >= 0 unchecked:
+    the evaluators check it on the way in (`_resolve_at`), and a sweep, a
+    target or `max_secure_distance` checks its range. The link, Raman
+    and Y0 constants are bound here; each step calls the statement its
+    public function calls (`link._loss_db`, `link._transmittance`,
+    `raman._srs_rate`, `decoy._y0_step`), so every value has their bits.
+    Only the power floor, loss + sensitivity, is written here as in
     `classical_min_launch_power_dbm`. A quantum loss or floor that is not
     finite raises DomainError; the other fields are then finite (the mW and
     SRS steps raise, y0 is clamped, eta <= efficiency)."""
@@ -181,8 +183,6 @@ def _resolve(scenario: Scenario):
     inf = math.inf
 
     def channel(d: float) -> tuple:
-        if not d >= 0.0:
-            raise ConfigError(f"link length must be >= 0 km, got {d}")
         quantum_loss = _loss_db(alpha_q, il_q, d)
         classical_loss = _loss_db(alpha_c, il_c, d)
         needed = classical_loss + sensitivity
@@ -241,6 +241,15 @@ def _point(channel, key, d: float) -> tuple:
             e1, rate, feasible)
 
 
+def _resolve_at(scenario: Scenario, distance_km: float):
+    """`channel` and `key` of `_resolve(scenario)` for a public evaluator at
+    `distance_km`, which is checked first, as `channel` takes it unchecked."""
+    _require_real("scenario", distance_km=distance_km)
+    if not distance_km >= 0.0:
+        raise ConfigError(f"link length must be >= 0 km, got {distance_km}")
+    return _resolve(scenario)[:2]
+
+
 def launch_power_dbm(scenario: Scenario, distance_km: float) -> float:
     """Classical launch power used at this distance (fixed or adaptive)."""
     return channel_state(scenario, distance_km).launch_power_dbm
@@ -249,14 +258,14 @@ def launch_power_dbm(scenario: Scenario, distance_km: float) -> float:
 def channel_state(scenario: Scenario, distance_km: float) -> ChannelState:
     """Evaluate the link budget and background yield at one distance. A
     loss or power floor that overflows a float raises DomainError."""
-    channel, _, _ = _resolve(scenario)
+    channel, _ = _resolve_at(scenario, distance_km)
     return ChannelState(distance_km, *channel(distance_km))
 
 
 def evaluate_at(scenario: Scenario, distance_km: float) -> ResultRow:
     """One full sweep point: link budget, noise, decoy bounds, key rate. A
     loss or power floor that overflows a float raises DomainError."""
-    return ResultRow(*_point(*_resolve(scenario)[:2], distance_km))
+    return ResultRow(*_point(*_resolve_at(scenario, distance_km), distance_km))
 
 
 def _sweep_table(scenario: Scenario, sweep: SweepSpec) -> list[list]:
@@ -300,9 +309,11 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec) -> list[ResultRow]:
 # list of its columns in `RESULT_FIELDS` order (`_columns`). It is written a
 # chunk at a time, each chunk formatted one column at a time, so the output
 # is not held as one string; the exception is the JSON of a table holding a
-# NaN, an infinity or a numpy scalar, which json writes in one piece. The
-# bytes are those of `np.format_float_scientific(v, unique=True)` per CSV
-# value and of `json.dumps(payload, indent=2) + "\n"`.
+# NaN, an infinity, an int too large for a float or a numpy scalar, which
+# json writes in one piece. The bytes are those of
+# `np.format_float_scientific(v, unique=True)` per CSV value and of
+# `json.dumps(payload, indent=2) + "\n"`; a CSV value that is an int too
+# large for a float raises DomainError naming its field.
 
 @functools.cache
 def _scientific():
@@ -346,8 +357,12 @@ def _csv_chunks(table: list[list]):
     scientific = _scientific()
     yield _CSV_HEADER
     for *numbers, feasible in table:
-        columns = [[scientific(v, unique=True) for v in col]
-                   for col in numbers]
+        try:
+            columns = [[scientific(v, unique=True) for v in col]
+                       for col in numbers]
+        except OverflowError:   # an int too large for a float
+            _require_real("result", **dict(zip(RESULT_FIELDS, numbers)))
+            raise
         columns.append([_BOOL[f] for f in feasible])
         yield "".join(map(_CSV_ROW.__mod__, zip(*columns)))
 
@@ -355,9 +370,10 @@ def _csv_chunks(table: list[list]):
 def _json_chunks(table: list[list]):
     if not table or not all((type(col) is array
                              or set(map(type, col)) <= _PLAIN)
-                            and all(map(math.isfinite, col))
+                            and _finite(col)
                             for chunk in table for col in chunk[:-1]):
-        # [], NaN, infinities and numpy scalars as json writes them.
+        # [], NaN, infinities, ints too large for a float and numpy
+        # scalars as json writes them.
         payload = [dict(zip(RESULT_FIELDS, row))
                    for chunk in table for row in zip(*chunk)]
         yield json.dumps(payload, indent=2) + "\n"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qkdcoex
 from qkdcoex import scenario as scenario_mod
 from qkdcoex.cli import build_parser, main
 from qkdcoex.config import load_scenario
@@ -48,10 +49,10 @@ SMF_INI = SCENARIO_INI[:SCENARIO_INI.index("\n[sweep]")] + "\n"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _python_m(*argv):
-    """`python -m qkdcoex *argv` in a fresh interpreter: an exception that
-    escapes `main` shows there as a traceback on stderr."""
-    return subprocess.run([sys.executable, "-m", "qkdcoex", *argv],
+def _python_m(*argv, module="qkdcoex"):
+    """`python -m qkdcoex *argv` (or another `module`) in a fresh interpreter:
+    an exception that escapes `main` shows there as a traceback on stderr."""
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True)
 
@@ -502,6 +503,21 @@ def test_module_entry_point(argv, stdout, capsys):
         0, capsys.readouterr().out, "")
     if stdout is not None:
         assert proc.stdout == stdout
+
+
+def test_cli_module_entry_point():
+    # `python -m qkdcoex.cli` runs cli.py's own `__main__` block, which
+    # `python -m qkdcoex` (it runs __main__.py) never reaches.
+    package = _python_m("presets", "list")
+    module = _python_m("presets", "list", module="qkdcoex.cli")
+    assert package.returncode == 0 and package.stdout
+    assert (module.returncode, module.stdout, module.stderr) == (
+        0, package.stdout, package.stderr)
+
+
+def test_backend_name():
+    # Benchmark runs record it; the per-point code is Python only.
+    assert qkdcoex.backend_name() == "python"
 
 
 def test_unparsed_argument_exit_1(capsys):

@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 
 from qkdcoex import scenario
 from qkdcoex.cli import main
-from qkdcoex.errors import ComputationError, ConfigError
+from qkdcoex.errors import ComputationError, ConfigError, DomainError
 from qkdcoex.scenario import (RESULT_FIELDS, ResultRow, SweepSpec,
                               _chunks, _sweep_table, emit_results,
                               evaluate_at, rows_to_csv, rows_to_json,
@@ -98,6 +98,27 @@ def test_integer_launch_cap_matches_oracle(preset):
     assert int in {type(row.launch_power_dbm) for row in rows}
     assert rows_to_csv(rows) == oracle_csv(rows)
     assert rows_to_json(rows) == oracle_json(rows)
+
+
+def _huge_int_rows():
+    # An int that no float holds, in one row next to an ordinary one.
+    row = evaluate_at(get_preset("smf"), 10.0)
+    return [row, replace(row, srs_rate_cps=2**1100)]
+
+
+@pytest.mark.parametrize("chunk", [1, 256])
+def test_int_beyond_float_range_json_matches_oracle(chunk, tmp_path):
+    rows = _huge_int_rows()
+    with mock.patch.object(scenario, "_CHUNK_ROWS", chunk):
+        assert rows_to_json(rows) == oracle_json(rows)
+        emit_results(rows, "json", tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_text() == oracle_json(rows)
+
+
+def test_int_beyond_float_range_csv_names_field():
+    with pytest.raises(DomainError, match="^result srs_rate_cps is too large "
+                                          "to convert to a float$"):
+        rows_to_csv(_huge_int_rows())
 
 
 def test_float_columns_are_unboxed():

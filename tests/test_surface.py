@@ -1,16 +1,19 @@
 """Every public constructor, step function and evaluator of `decoy`, `link`,
-`raman` and `scenario` has two outcomes on any float it takes: a finite
-result, or a `QkdCoexError`. A NaN or an infinity that comes back, and any
-other exception, is a bug.
+`raman` and `scenario` has two outcomes on any int or float it takes: a
+finite result, or a `QkdCoexError`. A NaN or an infinity that comes back,
+and any other exception, is a bug.
 
 Each float argument is either a valid value or one drawn from the extremes
 (NaN, the infinities, the signed zeros, the smallest subnormals, a value
-near the float maximum) or from ordinary values. Structured arguments (a
-link, a scenario) are built from drawn floats too, so their constructors
-are part of the call. The record types that only hold results
-(`KeyRateBreakdown`, `DistanceResult`, `ChannelState`, `ResultRow`,
-`TargetResidual`) are left out, and so is `calibrate`, which
-`tests/test_scenario.py` already runs on extreme targets. Sweeps and
+near the float maximum, ints beyond the float range) or from ordinary
+values. Those ints are also put, one at a time, into each argument of
+otherwise valid calls, as the drawn examples are derandomized and need not
+reach every argument. Structured arguments (a link, a scenario) are built
+from drawn floats too, so their constructors are part of the call. The
+record types that only hold results (`KeyRateBreakdown`, `DistanceResult`,
+`ChannelState`, `ResultRow`, `TargetResidual`) are left out, and so is
+`calibrate`, which `tests/test_scenario.py` already runs on extreme
+targets. Sweeps and
 searches draw their ranges (and a search its resolution) but keep a fixed
 grid step, so no example builds a grid of a million points.
 """
@@ -43,8 +46,10 @@ from qkdcoex.scenario import (CalibrationReport, CalibrationTarget, SweepSpec,
                               apply_calibration, channel_state, evaluate_at,
                               launch_power_dbm, max_secure_distance, run_sweep)
 
+# Ints that no float holds: converting one raises OverflowError.
+_HUGE = {"2**1100": 2**1100, "-2**1100": -2**1100, "10**400": 10**400}
 _EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
-             1.7e308)
+             1.7e308, *_HUGE.values())
 _FLOAT = st.one_of(st.sampled_from(_EXTREMES), st.floats(-400.0, 400.0))
 
 
@@ -231,6 +236,21 @@ def test_finite_result_or_package_error(name, data):
     assert not bad, (name, args, result)
 
 
+@pytest.mark.parametrize("name, position, label", [
+    (name, position, label) for name in sorted(_SURFACE)
+    for position in range(len(_SURFACE[name][1])) for label in _HUGE])
+def test_int_beyond_float_range_in_each_argument(name, position, label):
+    fn, valid = _SURFACE[name]
+    args = list(valid)
+    args[position] = _HUGE[label]
+    try:
+        result = fn(*args)
+    except QkdCoexError:
+        return
+    bad = [v for v in _floats(result) if not math.isfinite(v)]
+    assert not bad, (name, args, result)
+
+
 # Calls that returned NaN or inf, or never returned, before their functions
 # checked their inputs; each is now a DomainError.
 _NON_FINITE_BEFORE = {
@@ -269,3 +289,69 @@ _NON_FINITE_BEFORE = {
 def test_non_finite_result_is_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+_BIG = _HUGE["2**1100"]
+_SMF = get_preset("smf")
+# Calls that let OverflowError escape (or, for e1_upper_bound, blamed the
+# bound) before each function checked its numbers: each is now a
+# DomainError that names the argument.
+_OVERFLOWED_BEFORE = {
+    "evaluate_at": (lambda: evaluate_at(_SMF, _BIG), "scenario distance_km"),
+    "channel_state": (lambda: channel_state(_SMF, _BIG),
+                      "scenario distance_km"),
+    "launch_power_dbm": (lambda: launch_power_dbm(_SMF, -_BIG),
+                         "scenario distance_km"),
+    "transmittance": (lambda: transmittance(_BIG), "transmittance loss_db"),
+    "classical_min_launch_power_dbm": (
+        lambda: classical_min_launch_power_dbm(_link(*_LINK), -_BIG),
+        "classical_min_launch_power_dbm receiver_sensitivity_dbm"),
+    "srs_noise_rate_cps": (
+        lambda: srs_noise_rate_cps(1.0, RamanCoefficient(1.0), 1.0, _BIG),
+        "srs_noise_rate_cps alpha_db_per_km"),
+    "noise_prob_per_pulse": (lambda: noise_prob_per_pulse(1e4, 10**400),
+                             "noise_prob_per_pulse clock_hz"),
+    "peak_noise_distance_km": (lambda: peak_noise_distance_km(_BIG),
+                               "peak_noise_distance_km alpha_db_per_km"),
+    "coefficient_suppression": (
+        lambda: coefficient_suppression(1.0, [10**400]),
+        "coefficient_suppression rho_fmf"),
+    "detected_count_suppression": (
+        lambda: detected_count_suppression((12076.0, 0.19), [(2637.0, 0.226)],
+                                           [_BIG]),
+        "detected_count_suppression distances_km"),
+    "gain_and_qber": (
+        lambda: gain_and_qber(_BIG, ChannelPoint(0.01, 1e-6), ProtocolParams()),
+        "gain_and_qber intensity"),
+    "y1_lower_bound": (
+        lambda: y1_lower_bound(0.004, 0.002, DecoyIntensities(), -_BIG),
+        "y1_lower_bound y0"),
+    "background_yield": (
+        lambda: background_yield(DetectorSpec(), ProtocolParams(), _BIG),
+        "background_yield noise_rate_cps"),
+    "e1_upper_bound": (
+        lambda: e1_upper_bound(_BIG, 0.035, 0.2, 0.009, 1e-6),
+        "e1_upper_bound q_nu"),
+}
+
+
+@pytest.mark.parametrize("call, named", list(_OVERFLOWED_BEFORE.values()),
+                         ids=list(_OVERFLOWED_BEFORE))
+def test_int_beyond_float_range_named(call, named):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == f"{named} is too large to convert to a float"
+
+
+def test_int_beyond_float_range_attenuation_of_a_fit():
+    # The fit checks its attenuation with the finite check, and its message.
+    with pytest.raises(DomainError, match="^attenuation must be finite"):
+        fit_raman_coefficient([NoiseMeasurement(10.0, 0.5, 9000.0)], _BIG)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: mw_to_dbm(_BIG), 3311.329952303793),   # log10 reads it exactly
+    (lambda: transmittance(math.inf), 0.0),
+])
+def test_unchanged_on_extremes(call, expected):
+    assert call() == expected
