@@ -185,6 +185,11 @@ class KeyRateBreakdown:
     clamp_events: int
 
 
+# The position of `rate_bps` in the tuple of `_kernel`'s `key`, which holds
+# the `KeyRateBreakdown` fields in order.
+_KEY_RATE = KeyRateBreakdown._record_names.index("rate_bps")
+
+
 @_record
 class DistanceResult:
     """Outcome of a maximum-distance search."""
@@ -196,6 +201,12 @@ class DistanceResult:
 # ---------------------------------------------------------------------------
 # per-point kernels: evaluated once per sweep point, calibration grid cell
 # and bisection step, on arguments the public functions below validate.
+
+# The positions read outside `_decoy_steps` in the tuples its docstring
+# lays out: Qmu, Qnu and Y1L in a `prefix` (Y1L's clamp count is the last
+# field), and `terms` in a `rest`.
+_PREFIX_Q_MU, _PREFIX_Q_NU, _PREFIX_Y1, _REST_TERMS = 1, 3, 5, 7
+
 
 def _decoy_steps(mu: float, nu: float):
     """The part of the key rate that does not depend on the EC efficiency f,
@@ -212,7 +223,8 @@ def _decoy_steps(mu: float, nu: float):
       is then zero, with e1U pinned at 0.5 and one more clamp event.
 
     A point runs all three (`_kernel`); a calibration runs `prefix` once per
-    target and the other two per grid row. Each statement is the one of
+    target and the other two per grid row; other code reads the tuples by the
+    `_PREFIX_*` and `_REST_TERMS` positions. Each statement is the one of
     `gain_and_qber`, `y1_lower_bound`, `e1_upper_bound` or `binary_entropy`
     with the operations in their order (E0*Y0 comes first in both
     numerators), so every value carries their bits (`TestBoundKernel`). A
@@ -279,9 +291,9 @@ def _rate_per_pulse(terms: tuple, f_ec: float, q_sift: float) -> float:
 
 def _kernel(intensities: DecoyIntensities, params: ProtocolParams):
     """The per-point key rate with its constants bound once: `key(eta, y0,
-    ed, f)` gives the `KeyRateBreakdown` fields in order, from the three
-    steps of `_decoy_steps`, with rate_bps = rate_per_pulse * clock_hz *
-    p_mu. ed and f default to those of `params`."""
+    ed, f)` gives the `KeyRateBreakdown` fields in order (rate_bps at
+    `_KEY_RATE`), from the three steps of `_decoy_steps`, with rate_bps =
+    rate_per_pulse * clock_hz * p_mu. ed and f default to those of `params`."""
     prefix, emu_at, rest = _decoy_steps(intensities.mu, intensities.nu)
     p_mu = intensities.p_mu
     q_sift, clock_hz = params.sifting_factor, params.clock_hz
@@ -335,13 +347,14 @@ def _rate_bound(intensities: DecoyIntensities, params: ProtocolParams):
 
     def zero(eta_lo, eta_hi, y0):
         lo, hi = prefix(eta_lo, y0), prefix(eta_hi, y0)
-        p = lo[:5] + hi[5:]
-        terms = rest(p, ed, emu_at(p, ed))[7]
+        # the fields before Y1L at eta_lo, then Y1L and its clamps at eta_hi
+        p = lo[:_PREFIX_Y1] + hi[_PREFIX_Y1:]
+        terms = rest(p, ed, emu_at(p, ed))[_REST_TERMS]
         if terms is None:
             return False
         neg_qmu, h_emu, single = terms
         return neg_qmu * f * h_emu + single < -_RATE_FLOOR - _RATE_MARGIN * (
-            single + (f + mu * scale) * (hi[1] + hi[3] + y0))
+            single + (f + mu * scale) * (hi[_PREFIX_Q_MU] + hi[_PREFIX_Q_NU] + y0))
     return zero
 
 
@@ -546,7 +559,7 @@ def max_secure_distance_km(evaluator: Callable[[float], ChannelPoint],
 
     def rate(d: float) -> float:
         ch = evaluator(d)
-        return key(ch.eta, ch.y0)[7]
+        return key(ch.eta, ch.y0)[_KEY_RATE]
 
     return find_rate_cliff(rate, search_range_km[0], search_range_km[1],
                            coarse_step_km, resolution_km)

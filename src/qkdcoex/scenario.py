@@ -21,8 +21,9 @@ from bisect import bisect_left, insort
 from collections.abc import Sequence
 from itertools import islice
 
-from .decoy import (_MAX_GRID_POINTS, ChannelPoint, DecoyIntensities,
-                    DetectorSpec, DistanceResult, ProtocolParams, _dark_yield,
+from .decoy import (_KEY_RATE, _MAX_GRID_POINTS, _PREFIX_Y1, _REST_TERMS,
+                    ChannelPoint, DecoyIntensities, DetectorSpec,
+                    DistanceResult, ProtocolParams, _dark_yield,
                     _check_search, _decoy_steps, _kernel, _rate_bound,
                     _rate_per_pulse, _y0_step, dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
@@ -30,12 +31,6 @@ from .errors import (CalibrationError, ComputationError, ConfigError,
                      _require_finite, _require_real)
 from .link import Band, LinkPlan, _loss_db, _path, _transmittance
 from .raman import RamanCoefficient, _srs_rate
-
-RESULT_FIELDS = (
-    "distance_km", "launch_power_dbm", "quantum_loss_db", "classical_loss_db",
-    "srs_rate_cps", "y0", "q_mu", "e_mu", "y1_lower", "e1_upper",
-    "key_rate_bps", "classical_feasible",
-)
 
 _FEASIBILITY_TOL_DB = 1e-9
 _Y0_MAX = math.nextafter(1.0, 0.0)
@@ -119,7 +114,7 @@ class SweepSpec:
 
 @_record
 class ResultRow:
-    """One sweep point; field order matches the CSV schema."""
+    """One sweep point; its fields, in order, are the result schema."""
 
     distance_km: float
     launch_power_dbm: float
@@ -133,6 +128,9 @@ class ResultRow:
     e1_upper: float
     key_rate_bps: float
     classical_feasible: bool
+
+
+RESULT_FIELDS = ResultRow._record_names
 
 
 @_record
@@ -153,20 +151,26 @@ class ChannelState:
         return ChannelPoint(self.eta, self.y0)
 
 
+# Positions in the tuple of `_resolve`'s `channel(d)`, which holds the
+# `ChannelState` fields after `distance_km`.
+_CH_SRS, _CH_Y0, _CH_ETA, _CH_FEASIBLE = map(ChannelState._record_names[1:].index, (
+    "srs_rate_cps", "y0", "eta", "classical_feasible"))
+
+
 def _resolve(scenario: Scenario):
     """Validate once; return `(channel, key, certificate)`: `channel(d)`
-    gives the `ChannelState` fields after `distance_km` by float arithmetic
-    only, `key` the kernel, and `certificate(to_km, budget)` the `zero_on`
-    of `max_secure_distance`, or None. `channel` takes d >= 0 unchecked:
-    the evaluators check it on the way in (`_resolve_at`), and a sweep, a
-    target or `max_secure_distance` checks its range. The link, Raman
-    and Y0 constants are bound here; each step calls the statement its
-    public function calls (`link._loss_db`, `link._transmittance`,
-    `raman._srs_rate`, `decoy._y0_step`), so every value has their bits.
-    Only the power floor, loss + sensitivity, is written here as in
-    `classical_min_launch_power_dbm`. A quantum loss or floor that is not
-    finite raises DomainError; the other fields are then finite (the mW and
-    SRS steps raise, y0 is clamped, eta <= efficiency)."""
+    gives the `ChannelState` fields after `distance_km` (read by the `_CH_*`
+    positions) by float arithmetic only, `key` the kernel, and
+    `certificate(to_km, budget)` the `zero_on` of `max_secure_distance`, or
+    None. `channel` takes d >= 0 unchecked: the evaluators check it on the
+    way in (`_resolve_at`), and a sweep, a target or `max_secure_distance`
+    checks its range. The link, Raman and Y0 constants are bound here; each
+    step calls the statement its public function calls (`link._loss_db`,
+    `link._transmittance`, `raman._srs_rate`, `decoy._y0_step`), so every
+    value has their bits. Only the power floor, loss + sensitivity, is
+    written here as in `classical_min_launch_power_dbm`. A quantum loss or
+    floor that is not finite raises DomainError; the other fields are then
+    finite (the mW and SRS steps raise, y0 is clamped, eta <= efficiency)."""
     alpha_q, il_q = _path(scenario.link, Band.QUANTUM)
     alpha_c, il_c = _path(scenario.link, Band.CLASSICAL)
     alpha_r = alpha_q if scenario.raman_alpha_basis is Band.QUANTUM else alpha_c
@@ -214,7 +218,7 @@ def _resolve(scenario: Scenario):
             def closed_off(a: float, b: float) -> bool | None:
                 # Where a channel may raise, it is probed, as the search
                 # always did. A block that closes at b closes throughout.
-                if not (closes(a) if bounded else channel(a)[7]):
+                if not (closes(a) if bounded else channel(a)[_CH_FEASIBLE]):
                     return True
                 return None if closes(b) else False
             return closed_off
@@ -225,9 +229,10 @@ def _resolve(scenario: Scenario):
         def zero_on(a: float, b: float) -> bool | None:
             if a == b:
                 return None     # a point costs what its rate costs
-            _, _, _, _, srs, _, eta, _ = channel(a)
+            ch = channel(a)
+            srs = ch[_CH_SRS] * 10.0 ** (-alpha_r * (b - a) / 10.0)
             return zero(_transmittance(_loss_db(alpha_q, il_q, b)) * efficiency,
-                        eta, y0_of(srs * 10.0 ** (-alpha_r * (b - a) / 10.0)))
+                        ch[_CH_ETA], y0_of(srs))
         return zero_on
 
     return channel, _kernel(scenario.intensities, protocol), certificate
@@ -235,10 +240,9 @@ def _resolve(scenario: Scenario):
 
 def _point(channel, key, d: float) -> tuple:
     """The `ResultRow` fields at `d`, in `RESULT_FIELDS` order."""
-    quantum_loss, classical_loss, _, launch, srs, y0, eta, feasible = channel(d)
-    qmu, emu, _, _, y1, e1, _, rate, _ = key(eta, y0)
-    return (d, launch, quantum_loss, classical_loss, srs, y0, qmu, emu, y1,
-            e1, rate, feasible)
+    q_loss, c_loss, needed, launch, srs, y0, eta, feasible = channel(d)
+    qmu, emu, qnu, enu, y1, e1, r, rate, clamps = key(eta, y0)
+    return (d, launch, q_loss, c_loss, srs, y0, qmu, emu, y1, e1, rate, feasible)
 
 
 def _resolve_at(scenario: Scenario, distance_km: float):
@@ -429,9 +433,9 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
 def emit_results(rows: Sequence[ResultRow], format: str,
                  path: str | os.PathLike) -> None:
     """Write rows as CSV or JSON; numbers keep full round-trip precision.
-    An unknown format or a path that cannot be opened raises `ConfigError`
-    and creates no file; a failed write raises `ComputationError`."""
-    _write(_chunks(_table(rows), format), path)
+    All text is formatted before `path` is opened, so a `QkdCoexError` other
+    than a failed write (`ComputationError`) leaves `path` as it was."""
+    _write(list(_chunks(_table(rows), format)), path)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +492,9 @@ def max_secure_distance(scenario: Scenario, from_km: float = 0.0,
     channel, key, certificate = _resolve(scenario)
 
     def rate(d: float) -> float:
-        _, _, _, _, _, y0, eta, feasible = channel(d)
-        if require_classical_feasible and not feasible:
-            return 0.0
-        return key(eta, y0)[7]
+        ch = channel(d)
+        return (0.0 if require_classical_feasible and not ch[_CH_FEASIBLE]
+                else key(ch[_CH_ETA], ch[_CH_Y0])[_KEY_RATE])
 
     return find_rate_cliff(rate, from_km, to_km, coarse_step_km, resolution_km,
                            certificate(to_km, require_classical_feasible))
@@ -589,20 +592,17 @@ def _golden_min(fn, lo: float, hi: float) -> float:
 
 def _calibration_points(scenarios: Sequence[Scenario],
                         targets: Sequence[CalibrationTarget]) -> list[tuple]:
-    """Per target, resolved once: its bound kernel and the channel point
-    (eta, y0) it is evaluated at; the `prefix` of its `_decoy_steps` at
-    (eta, y0), computed once per calibration, and its `emu_at` and `rest`
-    steps (`rest` None when the yield bound vanishes); its rate constants
-    q_sift, clock_hz and p_mu; the log of its target rate; and its QBER."""
+    """Per target, resolved once: (p, emu_at, rest, q_sift, clock_hz, p_mu,
+    log_rate, qber), p the prefix of its `_decoy_steps` at its channel's
+    (eta, y0) and `rest` None when the yield bound vanishes."""
     points = []
     for scen, tgt in zip(scenarios, targets):
-        channel, key, _ = _resolve(scen)
-        _, _, _, _, _, y0, eta, _ = channel(tgt.distance_km)
+        channel, _, _ = _resolve(scen)
+        ch = channel(tgt.distance_km)
         intensities, protocol = scen.intensities, scen.protocol
         prefix, emu_at, rest = _decoy_steps(intensities.mu, intensities.nu)
-        p = prefix(eta, y0)
-        _, _, _, _, _, y1, _ = p
-        points.append((key, (eta, y0), p, emu_at, None if y1 <= 0.0 else rest,
+        p = prefix(ch[_CH_ETA], ch[_CH_Y0])
+        points.append((p, emu_at, None if p[_PREFIX_Y1] <= 0.0 else rest,
                        protocol.sifting_factor, protocol.clock_hz,
                        intensities.p_mu, math.log(tgt.key_rate_bps), tgt.qber))
     return points
@@ -613,7 +613,7 @@ def _lower_bound(points: list[tuple], ed: float) -> float:
     every cell of the row at `ed`; inf when a yield bound vanishes. It needs
     each target's Emu only."""
     total = 0.0
-    for _, _, p, emu_at, rest, _, _, _, _, qber in points:
+    for p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber in points:
         if rest is None:
             return math.inf
         total += ((emu_at(p, ed) - qber) / 0.005) ** 2
@@ -626,12 +626,12 @@ def _row_terms(points: list[tuple], ed: float) -> list[tuple] | None:
     vanishes: the rate is then zero at every f. It runs once per row before
     any cell, which is exact: float arithmetic on valid inputs cannot raise."""
     row = []
-    for _, _, p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber in points:
+    for p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber in points:
         if rest is None:
             return None
         emu = emu_at(p, ed)
-        row.append((rest(p, ed, emu)[7], q_sift, clock_hz, p_mu, log_rate,
-                    ((emu - qber) / 0.005) ** 2))
+        row.append((rest(p, ed, emu)[_REST_TERMS], q_sift, clock_hz, p_mu,
+                    log_rate, ((emu - qber) / 0.005) ** 2))
     return row
 
 
@@ -777,13 +777,18 @@ def calibrate(scenarios: Sequence[Scenario],
     if refined > best:
         ed, f, refined = eds[best_i], fs[best_j], best
 
-    # The records are built positionally, their cheapest `__init__` path.
+    # Each target's rate and Emu are those of `key(eta, y0, ed, f)`: the
+    # same steps on the same prefix, and with the fit finite no yield bound
+    # vanished. The records are built positionally, their cheapest
+    # `__init__` path.
     residuals = []
-    for scen, tgt, (key, (eta, y0), *_) in zip(scenarios, targets, points):
-        _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
+    for scen, tgt, point in zip(scenarios, targets, points):
+        p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber = point
+        emu = emu_at(p, ed)
+        rate = (_rate_per_pulse(rest(p, ed, emu)[_REST_TERMS], f, q_sift)
+                * clock_hz * p_mu)
         residuals.append(TargetResidual(scen.name, tgt.distance_km,
-                                        rate, tgt.key_rate_bps,
-                                        emu, tgt.qber))
+                                        rate, tgt.key_rate_bps, emu, qber))
     return CalibrationReport(ed, f, tuple(residuals), refined)
 
 

@@ -8,9 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from qkdcoex import get_preset, scenario
-from qkdcoex.decoy import (ChannelPoint, DecoyIntensities, DetectorSpec,
-                           DistanceResult, ProtocolParams, _kernel,
-                           _rate_bound,
+from qkdcoex.decoy import (_KEY_RATE, ChannelPoint, DecoyIntensities,
+                           DetectorSpec, DistanceResult, ProtocolParams,
+                           _kernel, _rate_bound,
                            background_yield, binary_entropy, dbm_to_mw, e1_upper_bound,
                            find_rate_cliff, gain_and_qber, key_rate_details,
                            max_secure_distance_km, secure_key_rate_bps,
@@ -622,7 +622,7 @@ class TestRateBound:
             eta = min(eta_hi, eta_lo + (eta_hi - eta_lo) * t)
             for y in (y0, min(_Y0_MAX, math.nextafter(y0, 1.0)),
                       min(_Y0_MAX, y0 + (_Y0_MAX - y0) * v)):
-                assert key(eta, y)[7] == 0.0, (eta, y)
+                assert key(eta, y)[_KEY_RATE] == 0.0, (eta, y)
 
     def test_sign_of_the_rate_is_not_monotone_in_eta(self):
         # Why the bound takes the EC term at eta_lo: with Y1L clamped at 1
@@ -632,8 +632,8 @@ class TestRateBound:
                                        nu=0.3066791656431764)
         prm, y0 = params(0.0, 1.0), 0.08627869631223296
         key, zero = _kernel(intensities, prm), _rate_bound(intensities, prm)
-        assert key(0.999, y0)[7] == 0.0 and zero(0.999, 0.999, y0)
-        assert key(0.95, y0)[7] > 0.0
+        assert key(0.999, y0)[_KEY_RATE] == 0.0 and zero(0.999, 0.999, y0)
+        assert key(0.95, y0)[_KEY_RATE] > 0.0
         assert not zero(0.95, 0.999, y0)
 
     def test_undefined_above_mu_1(self):
@@ -767,7 +767,7 @@ class TestBoundKernel:
             intensities = DecoyIntensities(mu=mu, nu=mu * nu_share)
         except ConfigError:
             assume(False)
-        qmu, _, qnu, _, y1, e1, r, rate, clamps = _kernel(
+        qmu, emu, qnu, enu, y1, e1, r, rate, clamps = _kernel(
             intensities, params(ed, f))(eta, y0)
         assert qnu < sys.float_info.min
         assert _bits(y1, e1, r, rate) == _bits(0.0, 0.5, 0.0, 0.0)
@@ -779,7 +779,8 @@ class TestBoundKernel:
         # A dark, noiseless channel: both gains are 0 and the raw Y1 bound
         # is exactly 0.0. It is returned as it is, not through the `< 0`
         # clamp, and the vanished bound then counts one clamp event.
-        qmu, _, qnu, _, y1, e1, r, _, clamps = _kernel(INT, PARAMS)(0.0, 0.0)
+        qmu, emu, qnu, enu, y1, e1, r, rate, clamps = _kernel(INT, PARAMS)(
+            0.0, 0.0)
         assert _bits(qmu, qnu, y1) == _bits(0.0, 0.0, 0.0)
         assert (e1, r, clamps) == (0.5, 0.0, 1)
         # a raw bound of -0.0 keeps its sign

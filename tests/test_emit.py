@@ -121,6 +121,24 @@ def test_int_beyond_float_range_csv_names_field():
         rows_to_csv(_huge_int_rows())
 
 
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("fmt, error", [("csv", DomainError),
+                                        ("xml", ConfigError)])
+def test_package_error_leaves_path_as_it_was(existing, fmt, error, tmp_path):
+    # A CSV value out of float range is found while formatting; the text is
+    # formatted before the path is opened, so nothing is created, truncated
+    # or partly written.
+    path = tmp_path / "rows.out"
+    if existing:
+        path.write_bytes(b"earlier bytes\n")
+    with pytest.raises(error):
+        emit_results(_huge_int_rows(), fmt, path)
+    if existing:
+        assert path.read_bytes() == b"earlier bytes\n"
+    else:
+        assert not path.exists()
+
+
 def test_float_columns_are_unboxed():
     table = _sweep_table(get_preset("fig4-full"), SweepSpec(0.0, 300.0, 1.0))
     for *numbers, feasible in table:

@@ -15,10 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdcoex import config
+from qkdcoex import decoy as decoy_mod
 from qkdcoex import scenario as scenario_mod
 from qkdcoex.config import load_scenario, load_sweep
-from qkdcoex.decoy import (DecoyIntensities, DistanceResult, _rate_per_pulse,
-                           background_yield, dbm_to_mw, find_rate_cliff)
+from qkdcoex.decoy import (_KEY_RATE, _PREFIX_Q_MU, _PREFIX_Q_NU,
+                           _PREFIX_Y1, _REST_TERMS, DecoyIntensities,
+                           DistanceResult, _decoy_steps, _rate_per_pulse,
+                           background_yield, dbm_to_mw, find_rate_cliff,
+                           key_rate_details)
 from qkdcoex.errors import (CalibrationError, ConfigError, DomainError,
                             NoSecureDistanceError, QkdCoexError)
 from qkdcoex.link import (Band, FiberSpec, Mode, SchemeName, _path,
@@ -26,10 +30,11 @@ from qkdcoex.link import (Band, FiberSpec, Mode, SchemeName, _path,
 from qkdcoex.presets import REFERENCE_TARGETS, get_preset, preset_names
 from qkdcoex.raman import srs_noise_rate_cps
 from qkdcoex.scenario import (ED_BOUNDS, ED_STEP, F_BOUNDS, F_STEP,
-                              CalibrationReport, CalibrationTarget, SweepSpec,
-                              TargetResidual, _block_bound,
+                              RESULT_FIELDS, _CH_ETA, _CH_FEASIBLE, _CH_SRS,
+                              _CH_Y0, CalibrationReport, CalibrationTarget,
+                              SweepSpec, TargetResidual, _block_bound,
                               _calibration_points, _cell, _golden_min,
-                              _lower_bound, _resolve, _row_terms,
+                              _lower_bound, _point, _resolve, _row_terms,
                               apply_calibration, calibrate, channel_state,
                               emit_results, evaluate_at, launch_power_dbm,
                               max_secure_distance, rows_to_csv, rows_to_json,
@@ -380,8 +385,9 @@ def _cell_objective(scenarios, targets, ed, f):
     total = 0.0
     for scenario, target in zip(scenarios, targets):
         channel, key, _ = _resolve(scenario)
-        _, _, _, _, _, y0, eta, _ = channel(target.distance_km)
-        _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
+        ch = channel(target.distance_km)
+        qmu, emu, qnu, enu, y1, e1, r, rate, clamps = key(
+            ch[_CH_ETA], ch[_CH_Y0], ed, f)
         if rate <= 0.0:
             return math.inf
         total += ((math.log(rate) - math.log(target.key_rate_bps)) ** 2
@@ -420,8 +426,9 @@ def _full_scan_calibrate(scenarios, targets):
     residuals = []
     for scenario, target in zip(scenarios, targets):
         channel, key, _ = _resolve(scenario)
-        _, _, _, _, _, y0, eta, _ = channel(target.distance_km)
-        _, emu, _, _, _, _, _, rate, _ = key(eta, y0, ed, f)
+        ch = channel(target.distance_km)
+        qmu, emu, qnu, enu, y1, e1, r, rate, clamps = key(
+            ch[_CH_ETA], ch[_CH_Y0], ed, f)
         residuals.append(TargetResidual(scenario.name, target.distance_km,
                                         rate, target.key_rate_bps, emu,
                                         target.qber))
@@ -938,6 +945,55 @@ def _bits(*values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
 
+def _typed(*values):
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+@pytest.mark.parametrize("name, d", [
+    *((name, d) for name in preset_names() for d in (0.0, 86.0, 300.0)),
+    *((name, target.distance_km) for name, target in REFERENCE_TARGETS)])
+def test_position_names_read_their_record_fields(name, d):
+    """Each position name picks, from the per-point tuple it indexes, the
+    value of the same-named field of the record the public function builds
+    for that point: `channel_state`, `key_rate_details` or `evaluate_at`."""
+    names = {n for module in (scenario_mod, decoy_mod) for n in vars(module)
+             if n.startswith(("_CH_", "_KEY_", "_PREFIX_", "_REST_"))}
+    assert names == {"_CH_SRS", "_CH_Y0", "_CH_ETA", "_CH_FEASIBLE",
+                     "_KEY_RATE", "_PREFIX_Q_MU", "_PREFIX_Q_NU",
+                     "_PREFIX_Y1", "_REST_TERMS"}
+    scenario = get_preset(name)
+    intensities, protocol = scenario.intensities, scenario.protocol
+    state = channel_state(scenario, d)
+    details = key_rate_details(state.channel_point(), intensities, protocol)
+    channel, key, _ = _resolve(scenario)
+    ch = channel(d)
+    assert (_typed(ch[_CH_SRS], ch[_CH_Y0], ch[_CH_ETA], ch[_CH_FEASIBLE])
+            == _typed(state.srs_rate_cps, state.y0, state.eta,
+                      state.classical_feasible))
+    assert _typed(key(state.eta, state.y0)[_KEY_RATE]) == _typed(
+        details.rate_bps)
+    prefix, emu_at, rest = _decoy_steps(intensities.mu, intensities.nu)
+    p = prefix(state.eta, state.y0)
+    assert (_typed(p[_PREFIX_Q_MU], p[_PREFIX_Q_NU], p[_PREFIX_Y1])
+            == _typed(details.q_mu, details.q_nu, details.y1_lower))
+    ed = protocol.misalignment_error
+    terms = rest(p, ed, emu_at(p, ed))[_REST_TERMS]
+    assert (terms is None) is (details.y1_lower <= 0.0)
+    if terms is not None:
+        assert _typed(_rate_per_pulse(terms, protocol.ec_efficiency,
+                                      protocol.sifting_factor)) == _typed(
+            details.rate_per_pulse)
+    # `_point` gives the `ResultRow` fields: each equals evaluate_at's and
+    # the same-named field of the channel state or the key-rate breakdown.
+    point, row = _point(channel, key, d), evaluate_at(scenario, d)
+    for value, field in zip(point, RESULT_FIELDS, strict=True):
+        source = getattr(state, field, None)
+        if source is None:
+            source = getattr(details, field.replace("key_rate", "rate"))
+        assert _typed(value) == _typed(getattr(row, field)) == _typed(
+            source), field
+
+
 @settings(deadline=None)
 @given(scenario=_SCENARIOS,
        d=st.one_of(st.floats(0.0, 400.0), st.sampled_from((0.0, 1e300))))
@@ -973,10 +1029,10 @@ def _unclipped_search(scenario, from_km, to_km, coarse_step_km,
     channel, key, _ = _resolve(scenario)
 
     def rate(d):
-        _, _, _, _, _, y0, eta, feasible = channel(d)
-        if require_classical_feasible and not feasible:
+        ch = channel(d)
+        if require_classical_feasible and not ch[_CH_FEASIBLE]:
             return 0.0
-        return key(eta, y0)[7]
+        return key(ch[_CH_ETA], ch[_CH_Y0])[_KEY_RATE]
 
     grid = [from_km]
     while grid[-1] < to_km:
@@ -1111,8 +1167,9 @@ def _plain_search(scenario, from_km, to_km, budget):
     channel, key, _ = _resolve(scenario)
 
     def rate(d):
-        _, _, _, _, _, y0, eta, feasible = channel(d)
-        return 0.0 if budget and not feasible else key(eta, y0)[7]
+        ch = channel(d)
+        return (0.0 if budget and not ch[_CH_FEASIBLE]
+                else key(ch[_CH_ETA], ch[_CH_Y0])[_KEY_RATE])
     return find_rate_cliff(rate, from_km, to_km)
 
 
@@ -1180,7 +1237,8 @@ class TestCertifiedSearch:
             st.floats(0.0, 400.0),
             st.floats(-1e-6, 1e-6).map(lambda x: max(0.0, cliff + x))))
         channel, _, certificate = _resolve(scenario)
-        assert (certificate(400.0, True)(d, d) is True) is (not channel(d)[7])
+        assert ((certificate(400.0, True)(d, d) is True)
+                is (not channel(d)[_CH_FEASIBLE]))
 
     # Two links whose rate is 0 near the start of the range, positive
     # further on and 0 again past the cliff. A certificate that took the
