@@ -74,9 +74,9 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
 
     p_sweep = sub.add_parser("sweep", help="distance sweep to CSV/JSON")
     _add_scenario_args(p_sweep)
-    p_sweep.add_argument("--from-km", type=float, default=None)
-    p_sweep.add_argument("--to-km", type=float, default=None)
-    p_sweep.add_argument("--step-km", type=float, default=None)
+    for name in SweepSpec._record_names:   # --from-km, --to-km, --step-km
+        p_sweep.add_argument(f"--{name.replace('_', '-')}", type=float,
+                             default=None)
     _add_output_args(p_sweep, ("csv", "json"))
 
     p_max = sub.add_parser("max-distance",
@@ -142,9 +142,9 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def _cmd_sweep(args) -> int:
     scenario, file_sweep = _resolve_scenario(args)
-    flags = {name: getattr(args, name) for name in ("from_km", "to_km", "step_km")}
-    sweep = _replace(file_sweep or _DEFAULT_SWEEP,
-                     **{name: v for name, v in flags.items() if v is not None})
+    flags = {name: value for name in SweepSpec._record_names
+             if (value := getattr(args, name)) is not None}
+    sweep = _replace(file_sweep or _DEFAULT_SWEEP, **flags)
     # The whole table is computed before any output, so a failed sweep
     # leaves no --out file.
     table = _sweep_table(scenario, sweep)
@@ -168,29 +168,20 @@ def _cmd_max_distance(args) -> int:
     return 0
 
 
+# The keys of each `calibrate --format json` residual, in order.
+_RESIDUAL_KEYS = ("scenario", "distance_km", "key_rate_bps", "target_rate_bps",
+                  "rate_ratio", "qber", "target_qber", "qber_delta")
+
+
 def _cmd_calibrate(args) -> int:
     scenarios = [presets_mod.get_preset(name)
                  for name, _ in presets_mod.REFERENCE_TARGETS]
     targets = [target for _, target in presets_mod.REFERENCE_TARGETS]
     report = calibrate(scenarios, targets)
-    payload = {
-        "misalignment_error": report.misalignment_error,
-        "ec_efficiency": report.ec_efficiency,
-        "objective": report.objective,
-        "residuals": [
-            {
-                "scenario": r.scenario,
-                "distance_km": r.distance_km,
-                "key_rate_bps": r.key_rate_bps,
-                "target_rate_bps": r.target_rate_bps,
-                "rate_ratio": r.rate_ratio,
-                "qber": r.qber,
-                "target_qber": r.target_qber,
-                "qber_delta": r.qber_delta,
-            }
-            for r in report.residuals
-        ],
-    }
+    payload = {key: getattr(report, key)
+               for key in ("misalignment_error", "ec_efficiency", "objective")}
+    payload["residuals"] = [{key: getattr(r, key) for key in _RESIDUAL_KEYS}
+                            for r in report.residuals]
     lines = [
         f"misalignment_error = {report.misalignment_error:.6f}",
         f"ec_efficiency      = {report.ec_efficiency:.6f}",

@@ -2,14 +2,16 @@
 
 Flat INI-style sections (fiber, components, classical, quantum, detector,
 raman, sweep) with units embedded in the key names. Only the link geometry
-and the Raman coefficient are mandatory; every other field a file leaves
-out takes its dataclass default. Unknown sections or keys are rejected so
-typos fail loudly.
+and the Raman coefficient are mandatory. The other keys are record fields,
+read as their annotations (`_ini_fields`) and booleans by configparser's
+spellings; a field a file leaves out keeps its record default. Unknown
+sections or keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 from pathlib import Path
 
 from .decoy import DecoyIntensities, DetectorSpec, ProtocolParams
@@ -21,23 +23,28 @@ from .scenario import Scenario, SweepSpec
 
 _SECTIONS = ("fiber", "components", "classical", "quantum", "detector",
              "raman", "sweep")
-# INI keys whose dataclass field has another name.
-_FIELD_OF_KEY = {"error_correction_efficiency": "ec_efficiency",
-                 "launch_power_dbm": "classical_launch_power_dbm"}
+# Record fields whose INI key has another name.
+_KEY_OF_FIELD = {"ec_efficiency": "error_correction_efficiency",
+                 "classical_launch_power_dbm": "launch_power_dbm"}
 
 
 def _boolean(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
-# What `_Section.get` says a value it cannot read as `kind` is not; str
-# reads every value.
-_KIND_NAME = {float: "a number", int: "an integer", _boolean: "a boolean"}
+# The field annotations an INI key may have: each one's reader, and what a
+# value the reader refuses is not.
+_KINDS = {"float": (float, "a number"), "int": (int, "an integer"),
+          "bool": (_boolean, "a boolean")}
+
+
+@functools.cache
+def _ini_fields(record) -> tuple:
+    """(field, INI key, annotation) of each field of `record` whose
+    annotation is a `_KINDS` key, in field order."""
+    kinds = record.__annotations__
+    return tuple((name, _KEY_OF_FIELD.get(name, name), kinds[name])
+                 for name in record._record_names if kinds[name] in _KINDS)
 
 
 class _Section:
@@ -48,28 +55,31 @@ class _Section:
         self._values = dict(values)
         self._seen: set[str] = set()
 
-    def get(self, key: str, kind=float, required: bool = False):
-        """The value of `key` read as `kind` (float, int, str or
-        `_boolean`), or None when the section leaves it out."""
+    def get(self, key: str, kind: str | None = "float", required: bool = False):
+        """The value of `key` read as the annotation `kind` (a `_KINDS`
+        key), its text for None, or None when the section leaves it out."""
         self._seen.add(key)
         if key not in self._values:
             if required:
                 raise ConfigError(f"[{self.name}] missing required key {key!r}")
             return None
         raw = self._values[key]
+        if kind is None:
+            return raw
+        read, what = _KINDS[kind]
         try:
-            value = kind(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not "
-                              f"{_KIND_NAME[kind]}") from None
-        if kind is float:
+            value = read(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(
+                f"[{self.name}] {key} = {raw!r} is not {what}") from None
+        if kind == "float":
             _require_finite(f"[{self.name}]", **{key: value})
         return value
 
     def choice(self, key: str, parse, allowed: str, required: bool = False):
         """`parse` of the stripped, lower-cased value of `key`, or None when
         the section leaves it out; `allowed` names the values it takes."""
-        raw = self.get(key, str, required)
+        raw = self.get(key, None, required)
         if raw is None:
             return None
         raw = raw.strip().lower()
@@ -82,11 +92,11 @@ class _Section:
     def has(self, key: str) -> bool:
         return key in self._values
 
-    def given(self, kind, *keys: str) -> dict:
-        """Dataclass keyword arguments, read as `kind`, for those of `keys`
-        this section sets; the fields of the others keep their defaults."""
-        return {_FIELD_OF_KEY.get(key, key): self.get(key, kind)
-                for key in keys if self.has(key)}
+    def fields(self, record) -> dict:
+        """Keyword arguments of `record` for the `_ini_fields` this section
+        sets, in field order; the other fields keep their defaults."""
+        return {name: self.get(key, kind)
+                for name, key, kind in _ini_fields(record) if self.has(key)}
 
     def check_consumed(self):
         extra = set(self._values) - self._seen
@@ -141,17 +151,14 @@ def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
                 "mux_il_lp01_db", "mux_il_lp02_db",
                 "demux_il_lp01_db", "demux_il_lp02_db")))
 
-    quantum_path = classical_path = mux_demux
-    q_extra = components.get("quantum_extra_il_db")
-    if q_extra:
-        quantum_path += (ComponentSpec(
-            "quantum-extra", {scheme.quantum_mode: q_extra}, Side.TRANSMITTER),)
-    c_extra = components.get("classical_extra_il_db")
-    if c_extra:
-        classical_path += (ComponentSpec(
-            "classical-extra", {scheme.classical_mode: c_extra}, Side.TRANSMITTER),)
+    paths = []
+    for band in Band:   # quantum, then classical, as LinkPlan takes them
+        extra = components.get(f"{band.value}_extra_il_db")
+        paths.append(mux_demux + ((ComponentSpec(
+            f"{band.value}-extra", {scheme.mode_for(band): extra},
+            Side.TRANSMITTER),) if extra else ()))
     # A fiber kind that does not match the scheme fails here.
-    return LinkPlan(fiber_spec, 0.0, scheme, quantum_path, classical_path)
+    return LinkPlan(fiber_spec, 0.0, scheme, *paths)
 
 
 def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
@@ -161,16 +168,9 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
 
     link = _build_link(fiber, components)
 
-    intensities = DecoyIntensities(**quantum.given(
-        float, "mu", "nu", "omega", "p_mu", "p_nu", "p_omega"))
-    protocol = ProtocolParams(
-        **quantum.given(float, "clock_hz", "misalignment_error",
-                        "background_error", "error_correction_efficiency",
-                        "sifting_factor"),
-        **quantum.given(int, "block_size_bits"))
-    det = DetectorSpec(
-        **detector.given(float, "efficiency", "gate_hz", "dark_count_per_gate"),
-        **detector.given(int, "num_detectors"))
+    intensities = DecoyIntensities(**quantum.fields(DecoyIntensities))
+    protocol = ProtocolParams(**quantum.fields(ProtocolParams))
+    det = DetectorSpec(**detector.fields(DetectorSpec))
     rho = RamanCoefficient(
         raman.get("coefficient_cps_per_mw_km", required=True),
         link.scheme.name,
@@ -189,9 +189,7 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
         detector=det,
         protocol=protocol,
         intensities=intensities,
-        **classical.given(float, "launch_power_dbm"),
-        **classical.given(_boolean, "adaptive_power"),
-        **classical.given(float, "receiver_sensitivity_dbm"),
+        **classical.fields(Scenario),
         **raman_options,
     )
 
@@ -201,15 +199,9 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
 
 
 def _sweep_from(sections: dict[str, _Section]) -> SweepSpec | None:
-    sweep = sections["sweep"]
-    if not (sweep.has("from_km") or sweep.has("to_km") or sweep.has("step_km")):
-        sweep.check_consumed()
-        return None
-    spec = SweepSpec(
-        from_km=sweep.get("from_km", required=True),
-        to_km=sweep.get("to_km", required=True),
-        step_km=sweep.get("step_km", required=True),
-    )
+    sweep, keys, spec = sections["sweep"], SweepSpec._record_names, None
+    if any(map(sweep.has, keys)):
+        spec = SweepSpec(*[sweep.get(key, required=True) for key in keys])
     sweep.check_consumed()
     return spec
 

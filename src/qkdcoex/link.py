@@ -52,6 +52,7 @@ class SchemeName(enum.Enum):
     LP02_IN = "lp02in"   # classical light launched into LP02
 
 
+_SCHEME_OF = {scheme.value: scheme for scheme in SchemeName}
 _SMF_MODES = (Mode.FUNDAMENTAL,)
 _FMF_MODES = (Mode.LP01, Mode.LP02)
 
@@ -177,6 +178,9 @@ class MultiplexScheme:
     }
 
     def __post_init__(self):
+        if not isinstance(self.name, SchemeName):
+            raise ConfigError(f"scheme must be one of "
+                              f"{', '.join(_SCHEME_OF)}, got {self.name!r}")
         expected = self._EXPECTED[self.name]
         if (self.quantum_mode, self.classical_mode) != expected:
             raise ConfigError(
@@ -187,8 +191,9 @@ class MultiplexScheme:
     @classmethod
     def named(cls, name: SchemeName | str) -> "MultiplexScheme":
         if isinstance(name, str):
-            name = SchemeName(name.replace("-", "").lower())
-        q, c = cls._EXPECTED[name]
+            name = _SCHEME_OF.get(name.replace("-", "").lower(), name)
+        # A name that is no SchemeName gets no modes: __post_init__ refuses it.
+        q, c = cls._EXPECTED.get(name, (None, None))
         return cls(name, q, c)
 
     def mode_for(self, channel: Band) -> Mode:

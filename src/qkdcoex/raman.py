@@ -162,19 +162,22 @@ def read_measurements_csv(path: str | os.PathLike) -> tuple[NoiseMeasurement, ..
         raise ConfigError(f"cannot read measurements file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    reader = csv.DictReader(lines)
+    rows = csv.reader(lines)
     # csv reads lazily, so a field over csv.field_size_limit() raises
     # csv.Error wherever the header or a row is read.
     try:
-        if reader.fieldnames != expected:
+        header = next(rows, None)
+        if header != expected:
             raise ConfigError(
-                f"{path}: expected header {','.join(expected)}, "
-                f"got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+                f"{path}: expected header {','.join(expected)}, got {header}")
+        # A blank line is skipped, and the line numbers count rows only.
+        for lineno, row in enumerate(filter(None, rows), start=2):
+            if len(row) != len(expected):
+                raise ConfigError(f"{path}:{lineno}: expected "
+                                  f"{len(expected)} fields, got {len(row)}")
             try:
-                values = [float(row[k]) for k in expected]
-            except (TypeError, ValueError):
+                values = list(map(float, row))
+            except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: non-numeric field") from None
             out.append(NoiseMeasurement(*values))

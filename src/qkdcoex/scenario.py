@@ -97,6 +97,22 @@ class SweepSpec:
         if self._span() >= _MAX_GRID_POINTS:
             raise ConfigError(f"sweep from {self.from_km} to {self.to_km} at "
                               f"{self.step_km} km exceeds {_MAX_GRID_POINTS} points")
+        # A grid of two or more points gives strictly increasing distances
+        # when step >= 2g, g = ulp(to). Proof: from >= 0, so every float up
+        # to the binade top 2^e above `to` is spaced at most g apart, and
+        # 2^e is a float. Under the point cap, floor(span) exceeds the exact
+        # (to - from) / step by less than 1e-8, so each exact from + i * step
+        # but the last is more than 0.99 step (1.98g) below `to` and rounds
+        # below it. Below 2^e, i * step rounds by at most g / 2, and not
+        # at all when step = 2g (each multiple of 2g there is a float), so
+        # consecutive products, and hence consecutive exact sums from + i *
+        # step, differ by more than g; each sum then rounds by at most g / 2,
+        # so the rounded sums increase strictly. A product or sum at or
+        # above 2^e rounds to at least 2^e > `to`, which only the last point
+        # can reach, and `min` clips it to `to`, above every other point.
+        if self._span() >= 1.0 and self.step_km < 2.0 * math.ulp(self.to_km):
+            raise ConfigError(f"sweep step {self.step_km} km is below the "
+                              f"float resolution at {self.to_km} km")
 
     def _span(self) -> float:
         """Steps from start to end; the grid has floor(span) + 1 points."""
@@ -312,12 +328,13 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec) -> list[ResultRow]:
 # A table is a list of chunks of up to `_CHUNK_ROWS` rows, each chunk the
 # list of its columns in `RESULT_FIELDS` order (`_columns`). It is written a
 # chunk at a time, each chunk formatted one column at a time, so the output
-# is not held as one string; the exception is the JSON of a table holding a
-# NaN, an infinity, an int too large for a float or a numpy scalar, which
-# json writes in one piece. The bytes are those of
+# is not held as one string; the exception is the JSON of a table holding an
+# int, a NaN, an infinity, a numpy scalar or a feasibility that is no bool,
+# which json writes in one piece. The bytes are those of
 # `np.format_float_scientific(v, unique=True)` per CSV value and of
 # `json.dumps(payload, indent=2) + "\n"`; a CSV value that is an int too
-# large for a float raises DomainError naming its field.
+# large for a float, or a feasibility that neither is nor equals a bool,
+# raises DomainError naming its field.
 
 @functools.cache
 def _scientific():
@@ -339,11 +356,10 @@ _CHUNK_ROWS = 256
 _CSV_HEADER = ",".join(RESULT_FIELDS) + "\n"
 _CSV_ROW = ",".join(["%s"] * len(RESULT_FIELDS)) + "\n"
 # What json.dumps(indent=2) writes for one row: repr for each number, as
-# json does for finite floats and ints (_PLAIN), and the bool spelled out.
+# json does for finite floats, and the bool spelled out.
 _JSON_ROW = "  {\n%s\n  }" % ",\n".join(
     [f'    "{f}": %r' for f in RESULT_FIELDS[:-1]]
     + [f'    "{RESULT_FIELDS[-1]}": %s'])
-_PLAIN = {float, int}
 _FLOAT = {float}
 _BOOL = {True: "true", False: "false"}
 
@@ -367,17 +383,24 @@ def _csv_chunks(table: list[list]):
         except OverflowError:   # an int too large for a float
             _require_real("result", **dict(zip(RESULT_FIELDS, numbers)))
             raise
-        columns.append([_BOOL[f] for f in feasible])
+        texts = []
+        for f in feasible:
+            try:
+                texts.append(_BOOL[f])
+            except (KeyError, TypeError):
+                raise DomainError(f"result {RESULT_FIELDS[-1]} must be a "
+                                  f"bool, got {f!r}") from None
+        columns.append(texts)
         yield "".join(map(_CSV_ROW.__mod__, zip(*columns)))
 
 
 def _json_chunks(table: list[list]):
-    if not table or not all((type(col) is array
-                             or set(map(type, col)) <= _PLAIN)
-                            and _finite(col)
-                            for chunk in table for col in chunk[:-1]):
-        # [], NaN, infinities, ints too large for a float and numpy
-        # scalars as json writes them.
+    if not table or not all(all(type(col) is array and _finite(col)
+                                for col in numbers)
+                            and set(map(type, feasible)) == {bool}
+                            for *numbers, feasible in table):
+        # [], ints, NaN, infinities, numpy scalars and a feasibility that
+        # is no bool as json writes them.
         payload = [dict(zip(RESULT_FIELDS, row))
                    for chunk in table for row in zip(*chunk)]
         yield json.dumps(payload, indent=2) + "\n"

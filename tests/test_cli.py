@@ -17,7 +17,8 @@ import qkdcoex
 from qkdcoex import scenario as scenario_mod
 from qkdcoex.cli import build_parser, main
 from qkdcoex.config import load_scenario
-from qkdcoex.errors import DomainError
+from qkdcoex.errors import ConfigError, DomainError
+from qkdcoex.raman import read_measurements_csv
 from qkdcoex.scenario import (RESULT_FIELDS, CalibrationTarget, SweepSpec,
                               calibrate, channel_state, evaluate_at,
                               max_secure_distance, run_sweep)
@@ -398,6 +399,36 @@ def test_fit_raman_oversized_field_exit_1(text, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == (f"qkdcoex: {path}: field larger than field limit "
                            f"(131072)\n")
+
+
+# A row with more or fewer fields than the header is refused, where extra
+# fields were dropped and the fit went on.
+@pytest.mark.parametrize("row, count", [("10,1,5,7", 4), ("10,1", 2)])
+def test_fit_raman_wrong_field_count_exit_1(row, count, tmp_path):
+    path = tmp_path / "noise.csv"
+    path.write_text(f"distance_km,power_mw,rate_cps\n20,1,9\n{row}\n",
+                    encoding="utf-8")
+    message = f"{path}:3: expected 3 fields, got {count}"
+    proc = _python_m("fit-raman", "--measurements", str(path),
+                     "--alpha-db-per-km", "0.2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"qkdcoex: {message}\n"
+    with pytest.raises(ConfigError) as exc:
+        read_measurements_csv(path)
+    assert str(exc.value) == message
+
+
+def test_sweep_step_below_float_resolution_exit_1(tmp_path, capsys):
+    # Floats are 16 km apart at 1e17 km: a 1 km step would give 161 rows
+    # holding 11 distances.
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--preset", "smf", "--from-km", "1e17",
+                 "--to-km", "1.0000000000000016e17", "--step-km", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "qkdcoex: sweep step 1.0 km is below the float resolution at "
+        "1.0000000000000016e+17 km\n")
+    assert not out.exists()
 
 
 # 10**400 detectors: an int too large for a float, which the dark-count

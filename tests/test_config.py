@@ -6,6 +6,7 @@ optional key changes only its own field. The link comes from the preset
 link builders.
 """
 
+import configparser
 import re
 from dataclasses import MISSING, fields, replace
 
@@ -285,3 +286,54 @@ def test_valid_interpolation_is_kept(tmp_path):
 def test_accepted_spellings(text, canonical, tmp_path):
     scenario, _ = _load(tmp_path, text)
     assert repr(scenario) == repr(_load(tmp_path, canonical)[0])
+
+
+# Booleans are read with configparser's own table of spellings, whatever
+# their case and surrounding blanks.
+@pytest.mark.parametrize("spelling, value", sorted(
+    configparser.ConfigParser.BOOLEAN_STATES.items()))
+def test_every_boolean_spelling(spelling, value, tmp_path):
+    text = _with("classical", f"adaptive_power =  {spelling.title()} ")
+    scenario, _ = _load(tmp_path, text)
+    assert scenario.adaptive_power is value
+
+
+# distutils' strtobool took these; configparser does not.
+@pytest.mark.parametrize("spelling", ["y", "t"])
+def test_refused_boolean_spelling(spelling, tmp_path):
+    with pytest.raises(ConfigError) as exc:
+        _load(tmp_path, _with("classical", f"adaptive_power = {spelling}"))
+    assert str(exc.value) == (f"[classical] adaptive_power = {spelling!r} "
+                              f"is not a boolean")
+
+
+@pytest.mark.parametrize("keys, missing", [
+    ("from_km = 0", "to_km"), ("from_km = 0\nto_km = 5", "step_km"),
+    ("step_km = 1", "from_km")])
+def test_partial_sweep_names_first_missing_key(keys, missing, tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_text(MANDATORY["smf"] + f"\n[sweep]\n{keys}\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        config.load_sweep(path)
+    assert str(exc.value) == f"[sweep] missing required key {missing!r}"
+
+
+@pytest.mark.parametrize("kind, scheme", [
+    ("smf", "smf"), ("fmf", "lp01in"), ("fmf", "lp02in")])
+@pytest.mark.parametrize("band", list(Band))
+def test_extra_loss_joins_its_own_path_only(kind, scheme, band, tmp_path):
+    text = re.sub(r"scheme = \w+", f"scheme = {scheme}", MANDATORY[kind]).replace(
+        "[components]\n", f"[components]\n{band.value}_extra_il_db = 1.5\n")
+    scenario, _ = _load(tmp_path, text)
+    plain = _direct_link(kind, scheme)
+    quantum, classical = (plain.quantum_path_components[:2],
+                          plain.classical_path_components[:2])
+    extra = (ComponentSpec(f"{band.value}-extra",
+                           {plain.scheme.mode_for(band): 1.5}, Side.TRANSMITTER),)
+    if band is Band.QUANTUM:
+        quantum += extra
+    else:
+        classical += extra
+    assert scenario.link == replace(plain, quantum_path_components=quantum,
+                                    classical_path_components=classical)

@@ -121,6 +121,51 @@ def test_int_beyond_float_range_csv_names_field():
         rows_to_csv(_huge_int_rows())
 
 
+def _feasibility_rows(value):
+    # A feasibility that is no bool, in one row next to an ordinary one.
+    row = evaluate_at(get_preset("smf"), 10.0)
+    return [row, replace(row, classical_feasible=value)]
+
+
+def _emitted(rows, fmt, via, path):
+    """The text of `rows` from `rows_to_<fmt>`, or from `emit_results` to
+    `path`, which holds other bytes before."""
+    if via == "rows_to":
+        return {"csv": rows_to_csv, "json": rows_to_json}[fmt](rows)
+    path.write_text("earlier bytes\n")
+    emit_results(rows, fmt, path)
+    return path.read_text()
+
+
+_FEASIBILITY = [2, None, 1, 0, 1.0]
+
+
+@pytest.mark.parametrize("value", _FEASIBILITY, ids=repr)
+@pytest.mark.parametrize("via", ["rows_to", "emit_results"])
+def test_feasibility_no_bool_json_matches_oracle(value, via, tmp_path):
+    # json writes the value as it is: 1, 0 and 1.0 are no `true`/`false`.
+    rows = _feasibility_rows(value)
+    assert _emitted(rows, "json", via, tmp_path / "out") == oracle_json(rows)
+
+
+@pytest.mark.parametrize("value", _FEASIBILITY, ids=repr)
+@pytest.mark.parametrize("via", ["rows_to", "emit_results"])
+def test_feasibility_no_bool_csv(value, via, tmp_path):
+    # 1, 0 and 1.0 equal a bool and keep its spelling; any other value is
+    # refused, naming the field, and an output file keeps its bytes.
+    path, rows = tmp_path / "out", _feasibility_rows(value)
+    if value in (0, 1):
+        expected = rows_to_csv(_feasibility_rows(bool(value)))
+        assert _emitted(rows, "csv", via, path) == expected
+        return
+    with pytest.raises(DomainError) as exc:
+        _emitted(rows, "csv", via, path)
+    assert str(exc.value) == (f"result classical_feasible must be a bool, "
+                              f"got {value!r}")
+    if via == "emit_results":
+        assert path.read_text() == "earlier bytes\n"
+
+
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize("fmt, error", [("csv", DomainError),
                                         ("xml", ConfigError)])

@@ -203,6 +203,19 @@ class TestValidation:
             MultiplexScheme(SchemeName.LP01_IN, quantum_mode=Mode.LP01,
                             classical_mode=Mode.LP02)
 
+    # A name that is no scheme is a ConfigError listing the schemes, by
+    # name as by record field.
+    @pytest.mark.parametrize("build", [
+        lambda: MultiplexScheme.named("bogus"),
+        lambda: MultiplexScheme.named(5),
+        lambda: MultiplexScheme("smf", Mode.FUNDAMENTAL, Mode.FUNDAMENTAL),
+        lambda: MultiplexScheme(None, Mode.LP01, Mode.LP02),
+    ], ids=["named-str", "named-int", "str-field", "none-field"])
+    def test_unknown_scheme_name(self, build):
+        with pytest.raises(ConfigError, match=r"^scheme must be one of smf, "
+                                              r"lp01in, lp02in, got "):
+            build()
+
     def test_smf_scheme_needs_smf_fiber(self):
         with pytest.raises(ConfigError):
             LinkPlan(fiber=FiberSpec.fmf(), length_km=1.0,

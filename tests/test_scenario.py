@@ -211,6 +211,26 @@ def test_channel_point_of_a_channel_state():
     assert 0.0 < point.eta < 1.0 and 0.0 < point.y0 < 1.0
 
 
+def _near_resolution(start, ulps, steps):
+    """A range of `ulps` float spacings from `start`, and a step of `steps`
+    spacings at its end."""
+    length = ulps * math.ulp(start)
+    return start, length, steps * math.ulp(start + length)
+
+
+# Sweep ranges as test_decoy's coarse-grid ranges, with every start >= 0:
+# ordinary ones, ones whose step is a few float spacings at the end (on
+# either side of the 2-spacing bound), and integer ones.
+_SWEEP_RANGES = st.one_of(
+    st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 300.0),
+              st.floats(0.01, 40.0)),
+    st.builds(_near_resolution,
+              st.sampled_from([0.5, 1e15, 2.0**52, 2.0**53 - 64.0, 1e16, 1e17]),
+              st.integers(1, 64), st.floats(0.25, 4.0)),
+    st.tuples(st.integers(0, 300), st.integers(0, 300), st.integers(1, 40)),
+)
+
+
 class TestSweep:
     def test_grid_size(self):
         for spec, size in ((SweepSpec(0.0, 100.0, 1.0), 101),
@@ -285,6 +305,37 @@ class TestSweep:
         for spec in ((0.0, 1_000_000.0, 1.0), (0.0, 1e-200, 1e-300)):
             with pytest.raises(ConfigError, match="exceeds 1000000 points"):
                 SweepSpec(*spec)
+
+    def test_step_below_float_resolution(self):
+        # At 1e17 km floats are 16 km apart, so a 1 km step would repeat
+        # distances; a single point there needs no step at all.
+        with pytest.raises(ConfigError) as exc:
+            SweepSpec(1e17, 1.0000000000000016e17, 1.0)
+        assert str(exc.value) == ("sweep step 1.0 km is below the float "
+                                  "resolution at 1.0000000000000016e+17 km")
+        assert SweepSpec(1e17, 1e17, 1.0).distances() == [1e17]
+        assert SweepSpec(1e17, 1.0000000000000016e17, 32.0).distances() == [
+            1e17 + 16.0 * i for i in range(0, 12, 2)]
+
+    @given(case=_SWEEP_RANGES)
+    @example(case=(1e17, 64.0, 32.0))                   # step = 2 ulp(to)
+    @example(case=(1e17, 64.0, math.nextafter(32.0, 0.0)))
+    @example(case=(2.0**53 - 64.0, 64.0, 4.0))          # to = 2**53
+    @example(case=(2.0**53 - 64.0, 64.0, 3.999))
+    def test_accepted_grid_strictly_increases(self, case):
+        from_km, length, step = case
+        to_km = from_km + length
+        try:
+            spec = SweepSpec(from_km, to_km, step)
+        except ConfigError as exc:
+            assert str(exc) == (f"sweep step {step} km is below the float "
+                                f"resolution at {to_km} km")
+            assert step < 2.0 * math.ulp(to_km)
+            return
+        distances = spec.distances()
+        assert distances[0] == from_km
+        assert all(a < b for a, b in zip(distances, distances[1:]))
+        assert all(d <= to_km for d in distances)
 
     def test_srs_matches_direct_formula(self):
         s = get_preset("smf")
