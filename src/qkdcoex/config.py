@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .decoy import DecoyIntensities, DetectorSpec, ProtocolParams
 from .errors import ConfigError, _require_finite
-from .link import Band, ComponentSpec, FiberKind, LinkPlan, MultiplexScheme, Side
+from .link import (Band, ComponentSpec, FiberKind, LinkPlan, MultiplexScheme,
+                   SchemeName, Side)
 from .presets import _fmf_parts, _smf_parts
 from .raman import RamanCoefficient
 from .scenario import Scenario, SweepSpec
@@ -76,9 +77,9 @@ class _Section:
             _require_finite(f"[{self.name}]", **{key: value})
         return value
 
-    def choice(self, key: str, parse, allowed: str, required: bool = False):
+    def choice(self, key: str, parse, allowed, required: bool = False):
         """`parse` of the stripped, lower-cased value of `key`, or None when
-        the section leaves it out; `allowed` names the values it takes."""
+        the section leaves it out; `allowed` lists the values it takes."""
         raw = self.get(key, None, required)
         if raw is None:
             return None
@@ -86,8 +87,9 @@ class _Section:
         try:
             return parse(raw)
         except ValueError:
-            raise ConfigError(
-                f"[{self.name}] {key} must be {allowed}, got {raw!r}") from None
+            *rest, last = [getattr(value, "value", value) for value in allowed]
+            raise ConfigError(f"[{self.name}] {key} must be {', '.join(rest)} "
+                              f"or {last}, got {raw!r}") from None
 
     def has(self, key: str) -> bool:
         return key in self._values
@@ -109,7 +111,7 @@ class _Section:
 def _read_ini(path: str | Path) -> dict[str, _Section]:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=str(path))
         # Reading a value expands its `%(key)s` references, so a stray `%`
         # or a reference to a missing key fails here, not while parsing.
@@ -130,26 +132,27 @@ def _read_ini(path: str | Path) -> dict[str, _Section]:
     return {name: _Section(name, values.get(name, {})) for name in _SECTIONS}
 
 
-def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
-    kind = fiber.choice("kind", FiberKind, "smf or fmf", required=True)
-    scheme = fiber.choice("scheme", MultiplexScheme.named,
-                          "smf, lp01in or lp02in", required=True)
+# Per fiber kind: its parts builder, and the [fiber] attenuation keys and
+# [components] insertion-loss keys that builder takes, in reading order.
+_PARTS = {
+    FiberKind.SMF: (_smf_parts, ("attenuation_quantum_db_per_km",
+                                 "attenuation_classical_db_per_km"),
+                    ("mux_il_db", "demux_il_db")),
+    FiberKind.FMF: (_fmf_parts, ("attenuation_lp01_db_per_km",
+                                 "attenuation_lp02_db_per_km"),
+                    ("mux_il_lp01_db", "mux_il_lp02_db",
+                     "demux_il_lp01_db", "demux_il_lp02_db")),
+}
 
-    if kind is FiberKind.SMF:
-        fiber_spec, mux_demux = _smf_parts(
-            attenuation=(
-                fiber.get("attenuation_quantum_db_per_km", required=True),
-                fiber.get("attenuation_classical_db_per_km", required=True)),
-            dwdm_il=(components.get("mux_il_db", required=True),
-                     components.get("demux_il_db", required=True)))
-    else:
-        fiber_spec, mux_demux = _fmf_parts(
-            attenuation=(
-                fiber.get("attenuation_lp01_db_per_km", required=True),
-                fiber.get("attenuation_lp02_db_per_km", required=True)),
-            coupler_il=tuple(components.get(key, required=True) for key in (
-                "mux_il_lp01_db", "mux_il_lp02_db",
-                "demux_il_lp01_db", "demux_il_lp02_db")))
+
+def _build_link(fiber: _Section, components: _Section) -> LinkPlan:
+    kind = fiber.choice("kind", FiberKind, FiberKind, required=True)
+    scheme = fiber.choice("scheme", MultiplexScheme.named, SchemeName,
+                          required=True)
+    parts, fiber_keys, loss_keys = _PARTS[kind]
+    fiber_spec, mux_demux = parts(
+        tuple(fiber.get(key, required=True) for key in fiber_keys),
+        tuple(components.get(key, required=True) for key in loss_keys))
 
     paths = []
     for band in Band:   # quantum, then classical, as LinkPlan takes them
@@ -177,9 +180,9 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
     )
     raman_options = {field: value for field, value in (
         ("raman_alpha_basis",
-         raman.choice("alpha_basis", Band, "quantum or classical")),
+         raman.choice("alpha_basis", Band, Band)),
         # Any string: Scenario rejects a divisor other than clock or gate.
-        ("noise_divisor", raman.choice("noise_divisor", str, "clock or gate")),
+        ("noise_divisor", raman.choice("noise_divisor", str, ("clock", "gate"))),
     ) if value is not None}
 
     scenario = Scenario(

@@ -150,6 +150,12 @@ def _replace(obj, **changes):
     return type(obj)(**{**vars(obj), **changes})
 
 
+def _freeze(record, convert, *fields) -> None:
+    """Store `convert` of each of a record's `fields` before any check."""
+    for name in fields:
+        object.__setattr__(record, name, convert(getattr(record, name)))
+
+
 def _dataclass_twin(cls):
     """A `@dataclass(frozen=True)` class with the record's name, fields,
     defaults and docstring, and no methods of its own."""

@@ -3,8 +3,9 @@ modal isolation and the classical power budget.
 
 All losses are stored and summed in dB; conversion to a linear
 transmittance happens only at the `transmittance` boundary. Types are
-frozen records with read-only maps, and every operation is a pure
-function, so everything here is hashable and safe to share across threads.
+frozen records that store a read-only copy of each map and a tuple of each
+sequence before they check it, and every operation is a pure function, so
+everything here is hashable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import enum
 import math
 from collections.abc import Mapping, Sequence
 
-from .errors import (ConfigError, DomainError, _record, _require_finite,
-                     _require_real)
+from .errors import (ConfigError, DomainError, _freeze, _record,
+                     _require_finite, _require_real)
 
 
 class Mode(enum.Enum):
@@ -53,8 +54,10 @@ class SchemeName(enum.Enum):
 
 
 _SCHEME_OF = {scheme.value: scheme for scheme in SchemeName}
-_SMF_MODES = (Mode.FUNDAMENTAL,)
-_FMF_MODES = (Mode.LP01, Mode.LP02)
+# The modes of each fiber kind, and the `IsolationTable` field that holds
+# each launch direction's rows.
+_MODES = {FiberKind.SMF: (Mode.FUNDAMENTAL,), FiberKind.FMF: (Mode.LP01, Mode.LP02)}
+_ISOLATION_FIELD = {SchemeName.LP01_IN: "lp01_in", SchemeName.LP02_IN: "lp02_in"}
 
 
 class _FrozenMap(dict):
@@ -87,17 +90,12 @@ class FiberSpec:
     attenuation_db_per_km: Mapping[tuple[Mode, Band], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "attenuation_db_per_km",
-                           _FrozenMap(self.attenuation_db_per_km))
-        modes = _SMF_MODES if self.kind is FiberKind.SMF else _FMF_MODES
-        for mode in modes:
+        _freeze(self, _FrozenMap, "attenuation_db_per_km")
+        for mode in _MODES[self.kind]:
             for band in Band:
-                key = (mode, band)
-                if key not in self.attenuation_db_per_km:
-                    raise ConfigError(
-                        f"fiber attenuation missing entry for "
-                        f"({mode.value}, {band.value})"
-                    )
+                if (mode, band) not in self.attenuation_db_per_km:
+                    raise ConfigError(f"fiber attenuation missing entry for "
+                                      f"({mode.value}, {band.value})")
         for (mode, band), value in self.attenuation_db_per_km.items():
             if not 0.0 < value < 1.0:
                 raise ConfigError(
@@ -119,11 +117,9 @@ class FiberSpec:
         # One measured attenuation per LP mode; reused for both bands
         # (no band-resolved characterization is available).
         return cls(FiberKind.FMF, {
-            (Mode.LP01, Band.QUANTUM): lp01_db_per_km,
-            (Mode.LP01, Band.CLASSICAL): lp01_db_per_km,
-            (Mode.LP02, Band.QUANTUM): lp02_db_per_km,
-            (Mode.LP02, Band.CLASSICAL): lp02_db_per_km,
-        })
+            (mode, band): alpha for mode, alpha in zip(
+                _MODES[FiberKind.FMF], (lp01_db_per_km, lp02_db_per_km))
+            for band in Band})
 
     def attenuation(self, mode: Mode, band: Band) -> float:
         try:
@@ -143,8 +139,7 @@ class ComponentSpec:
     position: Side
 
     def __post_init__(self):
-        object.__setattr__(self, "insertion_loss_db",
-                           _FrozenMap(self.insertion_loss_db))
+        _freeze(self, _FrozenMap, "insertion_loss_db")
         _require_finite(f"component {self.name!r}:", **vars(self))
         for mode, value in self.insertion_loss_db.items():
             if value < 0.0:
@@ -171,29 +166,28 @@ class MultiplexScheme:
     quantum_mode: Mode
     classical_mode: Mode
 
+    # Each scheme's quantum mode, classical mode and fiber kind.
     _EXPECTED = {
-        SchemeName.SMF: (Mode.FUNDAMENTAL, Mode.FUNDAMENTAL),
-        SchemeName.LP01_IN: (Mode.LP02, Mode.LP01),
-        SchemeName.LP02_IN: (Mode.LP01, Mode.LP02),
+        SchemeName.SMF: (Mode.FUNDAMENTAL, Mode.FUNDAMENTAL, FiberKind.SMF),
+        SchemeName.LP01_IN: (Mode.LP02, Mode.LP01, FiberKind.FMF),
+        SchemeName.LP02_IN: (Mode.LP01, Mode.LP02, FiberKind.FMF),
     }
 
     def __post_init__(self):
         if not isinstance(self.name, SchemeName):
             raise ConfigError(f"scheme must be one of "
                               f"{', '.join(_SCHEME_OF)}, got {self.name!r}")
-        expected = self._EXPECTED[self.name]
-        if (self.quantum_mode, self.classical_mode) != expected:
-            raise ConfigError(
-                f"scheme {self.name.value}: quantum/classical modes must be "
-                f"{expected[0].value}/{expected[1].value}"
-            )
+        quantum, classical, _ = self._EXPECTED[self.name]
+        if (self.quantum_mode, self.classical_mode) != (quantum, classical):
+            raise ConfigError(f"scheme {self.name.value}: quantum/classical "
+                              f"modes must be {quantum.value}/{classical.value}")
 
     @classmethod
     def named(cls, name: SchemeName | str) -> "MultiplexScheme":
         if isinstance(name, str):
             name = _SCHEME_OF.get(name.replace("-", "").lower(), name)
         # A name that is no SchemeName gets no modes: __post_init__ refuses it.
-        q, c = cls._EXPECTED.get(name, (None, None))
+        q, c, _ = cls._EXPECTED.get(name, (None,) * 3)
         return cls(name, q, c)
 
     def mode_for(self, channel: Band) -> Mode:
@@ -213,35 +207,39 @@ class IsolationTable:
     lp02_in: Sequence[tuple[float, float]]
 
     def __post_init__(self):
+        _freeze(self, lambda rows: tuple(map(tuple, rows or ())),
+                *_ISOLATION_FIELD.values())
         _require_finite("isolation table", **vars(self))
-        for label, rows in (("lp01in", self.lp01_in), ("lp02in", self.lp02_in)):
+        for direction, field in _ISOLATION_FIELD.items():
+            label, rows = direction.value, getattr(self, field)
             if not rows:
                 raise ConfigError(f"isolation table {label}: no rows")
-            prev_d, prev_iso = None, None
-            for d, iso in rows:
+            if any(len(row) != 2 for row in rows):
+                raise ConfigError(f"isolation table {label}: each row must be "
+                                  f"a (distance, isolation) pair")
+            # Each row after the one before it, the first after (-inf, inf).
+            for (prev_d, prev_iso), (d, iso) in zip(
+                    ((-math.inf, math.inf),) + rows, rows):
                 if iso <= 0.0:
                     raise ConfigError(
                         f"isolation table {label}: isolation at {d} km must "
                         f"be > 0 dB, got {iso}"
                     )
-                if prev_d is not None and d <= prev_d:
+                if d <= prev_d:
                     raise ConfigError(
                         f"isolation table {label}: distances must be strictly "
                         f"increasing ({prev_d} then {d})"
                     )
-                if prev_iso is not None and iso > prev_iso:
+                if iso > prev_iso:
                     raise ConfigError(
                         f"isolation table {label}: isolation must be "
                         f"non-increasing with distance ({prev_iso} then {iso})"
                     )
-                prev_d, prev_iso = d, iso
 
-    def rows_for(self, direction: SchemeName) -> Sequence[tuple[float, float]]:
-        if direction is SchemeName.LP01_IN:
-            return self.lp01_in
-        if direction is SchemeName.LP02_IN:
-            return self.lp02_in
-        raise DomainError("isolation is tabulated for lp01in/lp02in only")
+    def rows_for(self, direction: SchemeName) -> tuple[tuple[float, float], ...]:
+        if direction not in _ISOLATION_FIELD:
+            raise DomainError("isolation is tabulated for lp01in/lp02in only")
+        return getattr(self, _ISOLATION_FIELD[direction])
 
 
 @_record
@@ -255,15 +253,14 @@ class LinkPlan:
     classical_path_components: tuple[ComponentSpec, ...] = ()
 
     def __post_init__(self):
+        _freeze(self, tuple, "quantum_path_components", "classical_path_components")
         _require_finite("link", **vars(self))
         if self.length_km < 0.0:
             raise ConfigError(f"link length must be >= 0 km, got {self.length_km}")
-        if self.fiber.kind is FiberKind.SMF and self.scheme.name is not SchemeName.SMF:
+        *_, kind = MultiplexScheme._EXPECTED[self.scheme.name]
+        if self.fiber.kind is not kind:
             raise ConfigError(
-                f"scheme {self.scheme.name.value} requires an FMF link"
-            )
-        if self.fiber.kind is FiberKind.FMF and self.scheme.name is SchemeName.SMF:
-            raise ConfigError("scheme smf requires an SMF link")
+                f"scheme {self.scheme.name.value} requires an {kind.name} link")
         # Fail fast if a component lacks the mode its path uses.
         for channel in Band:
             _path(self, channel)

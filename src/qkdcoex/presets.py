@@ -36,6 +36,9 @@ RAMAN_CPS_PER_MW_KM = {
     SchemeName.LP02_IN: 2655.0,
 }
 
+# Insertion losses of the SMF link's 1546.92 nm DWDM mux and demux, dB.
+DWDM_IL_DB = (0.49, 0.36)
+
 # Projected upgrades: midpoints of the quoted ranges 0.16-0.17 dB/km and
 # 0.36-0.49 dB, and the improved detector bank.
 ULL_ATTENUATION_DB_PER_KM = 0.165
@@ -44,8 +47,9 @@ IMPROVED_DETECTOR_EFFICIENCY = 0.20
 IMPROVED_DARK_RATE_CPS = 230.0
 
 
-def _smf_parts(attenuation: tuple[float, float] = (0.190, 0.192),
-               dwdm_il: tuple[float, float] = (0.49, 0.36),
+# An empty `attenuation` keeps the defaults of `FiberSpec.smf` (or `.fmf`).
+def _smf_parts(attenuation: tuple[float, ...] = (),
+               dwdm_il: tuple[float, float] = DWDM_IL_DB,
                ) -> tuple[FiberSpec, tuple[ComponentSpec, ComponentSpec]]:
     """An SMF span's fiber, and its DWDM mux and demux in path order."""
     mux_il, demux_il = dwdm_il
@@ -54,7 +58,7 @@ def _smf_parts(attenuation: tuple[float, float] = (0.190, 0.192),
     return FiberSpec.smf(*attenuation), (mux, demux)
 
 
-def _fmf_parts(attenuation: tuple[float, float] = (0.226, 0.257),
+def _fmf_parts(attenuation: tuple[float, ...] = (),
                coupler_il: tuple[float, float, float, float] = (2.60, 3.70, 2.30, 3.20),
                ) -> tuple[FiberSpec, tuple[ComponentSpec, ComponentSpec]]:
     """A two-mode FMF span's fiber, and its mode mux and demux in path order."""
@@ -103,14 +107,16 @@ _PRESETS = {scenario.name: scenario for scenario in (
 
 PRESET_SUMMARIES = {
     "smf": "single-mode baseline; quantum and classical share the fundamental "
-           "mode through 1546.92 nm DWDMs (0.49/0.36 dB)",
+           "mode through 1546.92 nm DWDMs ({:g}/{:g} dB)".format(*DWDM_IL_DB),
     "lp01in": "two-mode FMF; classical on LP01, quantum on LP02 through mode "
               "couplers",
     "lp02in": "two-mode FMF; classical on LP02, quantum on LP01 through mode "
               "couplers",
     "fig4-power": "lp02in with adaptive minimum classical launch power",
-    "fig4-power-fmf": "fig4-power plus 0.165 dB/km fiber and 0.425 dB couplers",
-    "fig4-full": "fig4-power-fmf plus 20% efficiency / 230 cps dark detectors",
+    "fig4-power-fmf": f"fig4-power plus {ULL_ATTENUATION_DB_PER_KM:g} dB/km "
+                      f"fiber and {ULL_COUPLER_IL_DB:g} dB couplers",
+    "fig4-full": f"fig4-power-fmf plus {IMPROVED_DETECTOR_EFFICIENCY:.0%} "
+                 f"efficiency / {IMPROVED_DARK_RATE_CPS:g} cps dark detectors",
 }
 
 

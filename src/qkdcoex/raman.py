@@ -156,7 +156,7 @@ def read_measurements_csv(path: str | os.PathLike) -> tuple[NoiseMeasurement, ..
     expected = ["distance_km", "power_mw", "rate_cps"]
     out: list[NoiseMeasurement] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read measurements file {path}: {exc}") from exc

@@ -28,7 +28,7 @@ from .decoy import (_KEY_RATE, _MAX_GRID_POINTS, _PREFIX_Y1, _REST_TERMS,
                     _rate_per_pulse, _y0_step, dbm_to_mw, find_rate_cliff)
 from .errors import (CalibrationError, ComputationError, ConfigError,
                      DomainError, QkdCoexError, _finite, _record, _replace,
-                     _require_finite, _require_real)
+                     _freeze, _require_finite, _require_real)
 from .link import Band, LinkPlan, _loss_db, _path, _transmittance
 from .raman import RamanCoefficient, _srs_rate
 
@@ -222,12 +222,13 @@ def _resolve(scenario: Scenario):
 
     def certificate(to_km: float, budget: bool):
         # Whether no channel on [0, to_km] can raise: its losses, launch
-        # power and P * rho * L never decrease with d.
-        needed = _loss_db(alpha_c, il_c, to_km) + sensitivity
+        # power and P * rho * L never decrease with d. channel(to_km) raises
+        # DomainError where a loss or the floor is not finite or the launch
+        # power's mW overflow, and its SRS step only where P * rho * to_km
+        # is infinite already.
         try:
-            bounded = (_loss_db(alpha_q, il_q, to_km) < inf > needed
-                       and dbm_to_mw(min(needed, cap) if adaptive else cap)
-                       * rho * to_km < inf)
+            q_loss, c_loss, needed, launch, srs, y0, eta, feasible = channel(to_km)
+            bounded = dbm_to_mw(launch) * rho * to_km < inf
         except DomainError:
             bounded = False
         if budget:
@@ -580,6 +581,7 @@ class CalibrationReport:
     objective: float = math.inf
 
     def __post_init__(self):
+        _freeze(self, tuple, "residuals")
         if not ED_BOUNDS[0] <= self.misalignment_error <= ED_BOUNDS[1]:
             raise ConfigError(
                 f"misalignment error {self.misalignment_error} outside "

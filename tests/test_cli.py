@@ -66,6 +66,28 @@ def test_presets_list(capsys):
         assert name in out
 
 
+# The exact `presets list` output: each name padded to the longest, then
+# its summary, whose numbers come from the constants the presets are built
+# from.
+PRESETS_LIST = (
+    "smf             single-mode baseline; quantum and classical share the "
+    "fundamental mode through 1546.92 nm DWDMs (0.49/0.36 dB)\n"
+    "lp01in          two-mode FMF; classical on LP01, quantum on LP02 through "
+    "mode couplers\n"
+    "lp02in          two-mode FMF; classical on LP02, quantum on LP01 through "
+    "mode couplers\n"
+    "fig4-power      lp02in with adaptive minimum classical launch power\n"
+    "fig4-power-fmf  fig4-power plus 0.165 dB/km fiber and 0.425 dB couplers\n"
+    "fig4-full       fig4-power-fmf plus 20% efficiency / 230 cps dark "
+    "detectors\n"
+)
+
+
+def test_presets_list_bytes():
+    proc = _python_m("presets", "list")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, PRESETS_LIST, "")
+
+
 def test_sweep_stdout_csv(capsys):
     assert main(["sweep", "--preset", "smf", "--from-km", "0",
                  "--to-km", "3", "--step-km", "1"]) == 0
@@ -460,6 +482,27 @@ def test_overflowing_block_size_exit_1(verb, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("qkdcoex: protocol block_size_bits is too large "
                             "to convert to a float\n")
+
+
+@pytest.mark.parametrize("verb, flag, content, extra", (
+    ("max-distance", "--scenario", SMF_INI, ()),
+    ("fit-raman", "--measurements",
+     "distance_km,power_mw,rate_cps\n10,0.5,9000\n25,0.5,13000\n",
+     ("--alpha-db-per-km", "0.2")),
+), ids=("max-distance", "fit-raman"))
+def test_utf8_byte_order_mark_is_read(verb, flag, content, extra, tmp_path):
+    """A file that starts with the UTF-8 byte-order mark, as spreadsheet
+    programs write "CSV UTF-8", reads as the same file without it."""
+    # One stem in two folders: a scenario takes its name from the stem.
+    (tmp_path / "plain").mkdir(), (tmp_path / "marked").mkdir()
+    plain, marked = tmp_path / "plain" / "link", tmp_path / "marked" / "link"
+    plain.write_text(content, encoding="utf-8")
+    marked.write_text(content, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    runs = [_python_m(verb, flag, str(path), *extra, "--format", "json")
+            for path in (plain, marked)]
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout != ""
 
 
 @pytest.mark.parametrize("verb, flag, content", (

@@ -281,3 +281,59 @@ def test_preset_modes():
     assert lp02in.link.scheme.classical_mode is Mode.LP02
     lp01in = get_preset("lp01in")
     assert lp01in.link.scheme.quantum_mode is Mode.LP02
+
+
+class TestRecordsStoreTuples:
+    """A record stores a tuple of each sequence it takes before it checks
+    it, so a generator is not consumed by the checks, a container the
+    checks do not walk is checked, and a list changed after construction
+    changes nothing."""
+
+    def test_link_from_generators_keeps_its_components(self):
+        comps = smf_plan(0.0).quantum_path_components
+        plan = LinkPlan(FiberSpec.smf(), 50.0, MultiplexScheme.named("smf"),
+                        (c for c in comps), (c for c in comps))
+        assert plan.quantum_path_components == comps
+        assert total_loss_db(plan, Band.QUANTUM) == total_loss_db(
+            smf_plan(50.0), Band.QUANTUM)
+        assert total_loss_db(plan, Band.QUANTUM) == pytest.approx(10.35)
+
+    def test_link_from_lists_hashes_and_ignores_later_edits(self):
+        comps = list(smf_plan(0.0).quantum_path_components)
+        plan = LinkPlan(FiberSpec.smf(), 50.0, MultiplexScheme.named("smf"),
+                        comps, comps)
+        assert plan == smf_plan(50.0) and hash(plan) == hash(smf_plan(50.0))
+        comps.clear()
+        assert total_loss_db(plan, Band.QUANTUM) == pytest.approx(10.35)
+
+    def test_isolation_rows_in_a_deque_are_checked(self):
+        from collections import deque
+        with pytest.raises(ConfigError, match="must be finite"):
+            IsolationTable(deque([(0.0, math.nan), (50.0, 10.0)]),
+                           ((0.0, 20.0),))
+
+    def test_isolation_rows_from_a_generator(self):
+        rows = FMF_MODAL_ISOLATION.lp01_in
+        table = IsolationTable((row for row in rows),
+                               FMF_MODAL_ISOLATION.lp02_in)
+        assert table == FMF_MODAL_ISOLATION
+        assert modal_isolation_at(table, SchemeName.LP01_IN, 25.0) == 21.73
+
+    def test_isolation_table_from_lists_hashes_and_ignores_later_edits(self):
+        lp01 = [list(row) for row in FMF_MODAL_ISOLATION.lp01_in]
+        table = IsolationTable(lp01, list(FMF_MODAL_ISOLATION.lp02_in))
+        assert table == FMF_MODAL_ISOLATION
+        assert hash(table) == hash(FMF_MODAL_ISOLATION)
+        lp01[0][1], lp01[1] = -2.0, (1.0, 1.0)
+        assert modal_isolation_at(table, SchemeName.LP01_IN, 0.0) == 23.58
+        assert modal_isolation_at(table, SchemeName.LP01_IN, 25.0) == 21.73
+
+    @pytest.mark.parametrize("direction", ["lp01in", "lp02in"])
+    @pytest.mark.parametrize("row", [(0.0,), (0.0, 20.0, 1.0)])
+    def test_isolation_row_that_is_not_a_pair(self, direction, row):
+        rows = {"lp01_in": ((0.0, 20.0),), "lp02_in": ((0.0, 20.0),)}
+        rows[direction.replace("in", "_in")] = (row,)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"isolation table {direction}: each row must be a "
+                f"(distance, isolation) pair")):
+            IsolationTable(**rows)

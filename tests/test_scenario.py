@@ -1362,3 +1362,15 @@ class TestCertifiedSearch:
             # tests, single points included
             assert len(rate_calls) <= 16
             assert len(certificate_calls) <= 45
+
+
+def test_calibration_report_stores_its_residuals_as_a_tuple():
+    residual = TargetResidual("smf", 63.0, 2400.0, 2300.0, 0.039, 0.040)
+    residuals = [residual]
+    report = CalibrationReport(0.03, 1.2, residuals, 1.5)
+    assert report.residuals == (residual,)
+    assert hash(report) == hash(CalibrationReport(0.03, 1.2, (residual,), 1.5))
+    residuals.clear()
+    assert report.residuals == (residual,)
+    assert CalibrationReport(0.03, 1.2, iter(residuals + [residual]),
+                             1.5).residuals == (residual,)
