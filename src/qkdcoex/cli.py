@@ -14,8 +14,8 @@ import sys
 from . import presets as presets_mod
 from .errors import ComputationError, QkdCoexError, _replace
 from .raman import fit_raman_coefficient, read_measurements_csv
-from .scenario import (Scenario, SweepSpec, _chunks, _sweep_table, _write,
-                       calibrate, max_secure_distance)
+from .scenario import (_FORMATS, Scenario, SweepSpec, _chunks, _sweep_table,
+                       _write, calibrate, max_secure_distance)
 
 _DEFAULT_SWEEP = SweepSpec(0.0, 100.0, 1.0)
 
@@ -77,7 +77,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     for name in SweepSpec._record_names:   # --from-km, --to-km, --step-km
         p_sweep.add_argument(f"--{name.replace('_', '-')}", type=float,
                              default=None)
-    _add_output_args(p_sweep, ("csv", "json"))
+    _add_output_args(p_sweep, tuple(_FORMATS))
 
     p_max = sub.add_parser("max-distance",
                            help="largest distance with a positive key rate")

@@ -15,12 +15,12 @@ import functools
 from pathlib import Path
 
 from .decoy import DecoyIntensities, DetectorSpec, ProtocolParams
-from .errors import ConfigError, _require_finite
+from .errors import ConfigError, _read_text, _require_finite
 from .link import (Band, ComponentSpec, FiberKind, LinkPlan, MultiplexScheme,
                    SchemeName, Side)
 from .presets import _fmf_parts, _smf_parts
 from .raman import RamanCoefficient
-from .scenario import Scenario, SweepSpec
+from .scenario import _NOISE_DIVISORS, Scenario, SweepSpec
 
 _SECTIONS = ("fiber", "components", "classical", "quantum", "detector",
              "raman", "sweep")
@@ -78,14 +78,16 @@ class _Section:
         return value
 
     def choice(self, key: str, parse, allowed, required: bool = False):
-        """`parse` of the stripped, lower-cased value of `key`, or None when
-        the section leaves it out; `allowed` lists the values it takes."""
+        """`parse` of the stripped, lower-cased value of `key`, or the value
+        itself with `parse` None; None when the section leaves `key` out."""
         raw = self.get(key, None, required)
         if raw is None:
             return None
         raw = raw.strip().lower()
+        # `allowed` lists the values the key takes; with no `parse`, it is a
+        # tuple of names, whose `index` refuses any other value.
         try:
-            return parse(raw)
+            return parse(raw) if parse else allowed[allowed.index(raw)]
         except ValueError:
             *rest, last = [getattr(value, "value", value) for value in allowed]
             raise ConfigError(f"[{self.name}] {key} must be {', '.join(rest)} "
@@ -109,18 +111,13 @@ class _Section:
 
 
 def _read_ini(path: str | Path) -> dict[str, _Section]:
+    text = _read_text(path, "scenario")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            parser.read_file(fh, source=str(path))
+        parser.read_string(text, source=str(path))
         # Reading a value expands its `%(key)s` references, so a stray `%`
         # or a reference to a missing key fails here, not while parsing.
         values = {name: dict(parser[name]) for name in parser.sections()}
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"scenario file {path} is not UTF-8 text: {exc}") from None
     except configparser.InterpolationError as exc:
         raise ConfigError(f"scenario file {path}: [{exc.section}] "
                           f"{exc.option}: {exc}") from exc
@@ -181,8 +178,7 @@ def _scenario_from(sections: dict[str, _Section], path: str | Path) -> Scenario:
     raman_options = {field: value for field, value in (
         ("raman_alpha_basis",
          raman.choice("alpha_basis", Band, Band)),
-        # Any string: Scenario rejects a divisor other than clock or gate.
-        ("noise_divisor", raman.choice("noise_divisor", str, ("clock", "gate"))),
+        ("noise_divisor", raman.choice("noise_divisor", None, _NOISE_DIVISORS)),
     ) if value is not None}
 
     scenario = Scenario(

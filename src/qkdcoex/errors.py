@@ -1,6 +1,6 @@
-"""Exception hierarchy, the finite check every input applies, and the
-decorator that makes the package's frozen records: they keep the contract
-of `@dataclass(frozen=True)` without importing `dataclasses`.
+"""Exception hierarchy, the finite check every input applies, the reader of
+user files, and the decorator of the package's frozen records: they keep
+the contract of `@dataclass(frozen=True)` without importing `dataclasses`.
 
 Configuration and argument problems derive from ValueError so they behave
 naturally with code that validates inputs; failures of a computation that
@@ -86,6 +86,19 @@ def _require_finite(where: str, **values) -> None:
         if not _finite(_floats(value)):
             _require_real(where, ConfigError, **{name: value})
             raise ConfigError(f"{where} {name} must be finite, got {value!r}")
+
+
+def _read_text(path, what: str) -> str:
+    """The text of a user file, UTF-8 with an optional byte-order mark and
+    universal newlines; ConfigError names the `what` file it cannot read."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{what} file {path} is not UTF-8 text: {exc}") from None
 
 
 def _record_init(self, *args, **kwargs):

@@ -14,13 +14,14 @@ efficiency scaling is applied downstream.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from collections.abc import Iterable, Sequence
 
 from .decoy import _y0_step
-from .errors import (ConfigError, DegenerateFitError, DomainError,
-                     _finite, _record, _require_finite, _require_real)
+from .errors import (ConfigError, DegenerateFitError, DomainError, _finite,
+                     _read_text, _record, _require_finite, _require_real)
 from .link import SchemeName
 
 
@@ -49,9 +50,9 @@ class NoiseMeasurement:
 
     def __post_init__(self):
         _require_finite("measurement", **vars(self))
-        for name in ("distance_km", "fiber_input_power_mw", "measured_rate_cps"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, value in vars(self).items():
+            if value < 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 def _srs_rate(power_mw: float, rho: float, length_km: float,
@@ -155,14 +156,10 @@ def read_measurements_csv(path: str | os.PathLike) -> tuple[NoiseMeasurement, ..
 
     expected = ["distance_km", "power_mw", "rate_cps"]
     out: list[NoiseMeasurement] = []
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read measurements file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    rows = csv.reader(lines)
+    # `_read_text` reads each line end as "\n", which csv ends a line on as
+    # it does on "\r\n" or "\r"; a line end quoted inside a field reaches
+    # only `float`, which strips it.
+    rows = csv.reader(io.StringIO(_read_text(path, "measurements")))
     # csv reads lazily, so a field over csv.field_size_limit() raises
     # csv.Error wherever the header or a row is read.
     try:
@@ -170,16 +167,17 @@ def read_measurements_csv(path: str | os.PathLike) -> tuple[NoiseMeasurement, ..
         if header != expected:
             raise ConfigError(
                 f"{path}: expected header {','.join(expected)}, got {header}")
-        # A blank line is skipped, and the line numbers count rows only.
-        for lineno, row in enumerate(filter(None, rows), start=2):
+        # A blank line is skipped; `line_num` counts the lines read, so a
+        # message names the file line on which its row ends.
+        for row in filter(None, rows):
             if len(row) != len(expected):
-                raise ConfigError(f"{path}:{lineno}: expected "
+                raise ConfigError(f"{path}:{rows.line_num}: expected "
                                   f"{len(expected)} fields, got {len(row)}")
             try:
                 values = list(map(float, row))
             except ValueError:
                 raise ConfigError(
-                    f"{path}:{lineno}: non-numeric field") from None
+                    f"{path}:{rows.line_num}: non-numeric field") from None
             out.append(NoiseMeasurement(*values))
     except csv.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -210,6 +208,9 @@ def detected_count_suppression(smf: tuple[float, float],
     averaged and compared against SMF; the per-distance reductions are then
     averaged over the grid. The launch power cancels.
     """
+    # Tuples, which the number rule walks; a generator is read once.
+    smf, fmf, distances_km = (tuple(smf), tuple(map(tuple, fmf)),
+                              tuple(distances_km))
     _require_real("detected_count_suppression", **locals())
     rho_smf, alpha_smf = smf
     if not distances_km or not fmf:

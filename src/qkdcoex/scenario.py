@@ -34,6 +34,8 @@ from .raman import RamanCoefficient, _srs_rate
 
 _FEASIBILITY_TOL_DB = 1e-9
 _Y0_MAX = math.nextafter(1.0, 0.0)
+# The names `Scenario.noise_divisor` takes; `_resolve` maps each to a rate.
+_NOISE_DIVISORS = ("clock", "gate")
 
 
 @_record
@@ -69,11 +71,10 @@ class Scenario:
         if not isinstance(self.raman_alpha_basis, Band):
             raise ConfigError(f"Raman alpha basis must be a Band, got "
                               f"{self.raman_alpha_basis!r}")
-        if self.noise_divisor not in ("clock", "gate"):
-            raise ConfigError(
-                f"noise divisor must be 'clock' or 'gate', got "
-                f"{self.noise_divisor!r}"
-            )
+        if self.noise_divisor not in _NOISE_DIVISORS:
+            raise ConfigError(f"noise divisor must be "
+                              f"{' or '.join(map(repr, _NOISE_DIVISORS))}, "
+                              f"got {self.noise_divisor!r}")
 
 
 @_record
@@ -414,13 +415,16 @@ def _json_chunks(table: list[list]):
     yield "\n]\n"
 
 
+# The chunk writer of each output format; the first is the default.
+_FORMATS = {"csv": _csv_chunks, "json": _json_chunks}
+
+
 def _chunks(table: list[list], format: str):
     """The text of `table` in `format`, as successive pieces."""
-    if format == "csv":
-        return _csv_chunks(table)
-    if format == "json":
-        return _json_chunks(table)
-    raise ConfigError(f"unknown output format {format!r}")
+    chunks = _FORMATS.get(format) if isinstance(format, str) else None
+    if chunks is None:
+        raise ConfigError(f"unknown output format {format!r}")
+    return chunks(table)
 
 
 def _write(chunks, path: str | os.PathLike) -> None:
@@ -618,18 +622,19 @@ def _golden_min(fn, lo: float, hi: float) -> float:
 def _calibration_points(scenarios: Sequence[Scenario],
                         targets: Sequence[CalibrationTarget]) -> list[tuple]:
     """Per target, resolved once: (p, emu_at, rest, q_sift, clock_hz, p_mu,
-    log_rate, qber), p the prefix of its `_decoy_steps` at its channel's
-    (eta, y0) and `rest` None when the yield bound vanishes."""
+    log_rate, qber, key, ch), ch its `channel` tuple, p the prefix of `key`'s
+    `_decoy_steps` at ch's (eta, y0) and `rest` None when the Y1 bound is 0."""
     points = []
     for scen, tgt in zip(scenarios, targets):
-        channel, _, _ = _resolve(scen)
+        channel, key, _ = _resolve(scen)
         ch = channel(tgt.distance_km)
         intensities, protocol = scen.intensities, scen.protocol
         prefix, emu_at, rest = _decoy_steps(intensities.mu, intensities.nu)
         p = prefix(ch[_CH_ETA], ch[_CH_Y0])
         points.append((p, emu_at, None if p[_PREFIX_Y1] <= 0.0 else rest,
                        protocol.sifting_factor, protocol.clock_hz,
-                       intensities.p_mu, math.log(tgt.key_rate_bps), tgt.qber))
+                       intensities.p_mu, math.log(tgt.key_rate_bps), tgt.qber,
+                       key, ch))
     return points
 
 
@@ -638,7 +643,7 @@ def _lower_bound(points: list[tuple], ed: float) -> float:
     every cell of the row at `ed`; inf when a yield bound vanishes. It needs
     each target's Emu only."""
     total = 0.0
-    for p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber in points:
+    for p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber, _, _ in points:
         if rest is None:
             return math.inf
         total += ((emu_at(p, ed) - qber) / 0.005) ** 2
@@ -651,7 +656,7 @@ def _row_terms(points: list[tuple], ed: float) -> list[tuple] | None:
     vanishes: the rate is then zero at every f. It runs once per row before
     any cell, which is exact: float arithmetic on valid inputs cannot raise."""
     row = []
-    for p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber in points:
+    for p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber, _, _ in points:
         if rest is None:
             return None
         emu = emu_at(p, ed)
@@ -802,18 +807,12 @@ def calibrate(scenarios: Sequence[Scenario],
     if refined > best:
         ed, f, refined = eds[best_i], fs[best_j], best
 
-    # Each target's rate and Emu are those of `key(eta, y0, ed, f)`: the
-    # same steps on the same prefix, and with the fit finite no yield bound
-    # vanished. The records are built positionally, their cheapest
-    # `__init__` path.
+    # The records are built positionally, their cheapest `__init__` path.
     residuals = []
-    for scen, tgt, point in zip(scenarios, targets, points):
-        p, emu_at, rest, q_sift, clock_hz, p_mu, log_rate, qber = point
-        emu = emu_at(p, ed)
-        rate = (_rate_per_pulse(rest(p, ed, emu)[_REST_TERMS], f, q_sift)
-                * clock_hz * p_mu)
+    for scen, tgt, (*_, key, ch) in zip(scenarios, targets, points):
+        qmu, emu, *_, rate, clamps = key(ch[_CH_ETA], ch[_CH_Y0], ed, f)
         residuals.append(TargetResidual(scen.name, tgt.distance_km,
-                                        rate, tgt.key_rate_bps, emu, qber))
+                                        rate, tgt.key_rate_bps, emu, tgt.qber))
     return CalibrationReport(ed, f, tuple(residuals), refined)
 
 

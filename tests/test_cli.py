@@ -25,6 +25,7 @@ from qkdcoex.scenario import (RESULT_FIELDS, CalibrationTarget, SweepSpec,
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "qkdbench"))
 import inputs  # noqa: E402
+from test_readme import _blocks  # noqa: E402
 
 SCENARIO_INI = """
 [fiber]
@@ -503,6 +504,26 @@ def test_utf8_byte_order_mark_is_read(verb, flag, content, extra, tmp_path):
             for path in (plain, marked)]
     assert [(p.returncode, p.stderr) for p in runs] == [(0, "")] * 2
     assert runs[0].stdout == runs[1].stdout != ""
+
+
+@pytest.mark.parametrize("verb, flag, content, extra", (
+    ("max-distance", "--scenario", _blocks("ini")[0], ()),
+    ("fit-raman", "--measurements",
+     "distance_km,power_mw,rate_cps\n10,0.5,9000\n\n25,0.5,13000\n",
+     ("--alpha-db-per-km", "0.2")),
+), ids=("max-distance", "fit-raman"))
+def test_line_ends_are_read_alike(verb, flag, content, extra, tmp_path):
+    """A file with CRLF or lone-CR line ends reads as its LF copy."""
+    runs = []
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        # One stem in each folder: a scenario takes its name from the stem.
+        path = tmp_path / name / "link"
+        path.parent.mkdir()
+        path.write_bytes(content.replace("\n", end).encode())
+        runs.append(_python_m(verb, flag, str(path), *extra, "--format",
+                              "json"))
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, "")] * 3
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout != ""
 
 
 @pytest.mark.parametrize("verb, flag, content", (

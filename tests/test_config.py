@@ -214,9 +214,9 @@ REJECTED = [
      "[fiber] scheme must be smf, lp01in or lp02in, got 'lp03in'"),
     ("alpha_basis", _with("raman", "alpha_basis = pump"),
      "[raman] alpha_basis must be quantum or classical, got 'pump'"),
-    # Scenario checks the divisor itself, with its own message.
+    # The divisor is read against Scenario's table of divisor names.
     ("noise_divisor", _with("raman", "noise_divisor = pulse"),
-     "noise divisor must be 'clock' or 'gate', got 'pulse'"),
+     "[raman] noise_divisor must be clock or gate, got 'pulse'"),
 ]
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -194,6 +195,22 @@ class TestMeasurementCsv:
         with pytest.raises(ConfigError, match=":3"):
             read_measurements_csv(path)
 
+    # A blank line is skipped, and a message names the line of the file,
+    # counting the blank lines, whatever the line ends are.
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("last, message", [
+        ("20,0.5,x", "non-numeric field"),
+        ("20,0.5", "expected 3 fields, got 2"),
+    ], ids=["non-numeric", "field-count"])
+    def test_message_counts_blank_lines(self, end, last, message, tmp_path):
+        path = tmp_path / "noise.csv"
+        lines = ["distance_km,power_mw,rate_cps", "", "10,0.5,5000", "", last]
+        path.write_bytes(end.join(lines + [""]).encode())
+        with pytest.raises(ConfigError) as exc:
+            read_measurements_csv(path)
+        assert str(exc.value) == f"{path}:5: {message}"
+
     # csv refuses a field longer than csv.field_size_limit() (131,072
     # characters by default), in the header as in a row.
     @pytest.mark.parametrize("text", [
@@ -230,6 +247,29 @@ class TestSuppression:
         # 1e10 / 1e-300 overflows: the reduction at 10 km is -inf
         with pytest.raises(DomainError, match="suppression is not finite"):
             detected_count_suppression((1e-300, 0.2), [(1e10, 0.2)], [10.0])
+
+    # Each container is read as a tuple, which the number rule walks: an
+    # int beyond the float range in a deque is refused like one in a list,
+    # and a generator of entries is read once.
+    @pytest.mark.parametrize("args, name", [
+        ((deque([2**1100, 0.19]), [(2637.0, 0.257)], [50.0]), "smf"),
+        (((12076.0, 0.19), deque([(2**1100, 0.226)]), [50.0]), "fmf"),
+        (((12076.0, 0.19), [deque([2**1100, 0.226])], [50.0]), "fmf"),
+        (((12076.0, 0.19), [(2637.0, 0.257)], deque([2**1100])),
+         "distances_km"),
+    ], ids=["smf-deque", "fmf-deque", "fmf-pair-deque", "distances-deque"])
+    def test_other_containers_keep_the_number_rule(self, args, name):
+        with pytest.raises(DomainError, match=f"^detected_count_suppression "
+                           f"{name} is too large to convert to a float$"):
+            detected_count_suppression(*args)
+
+    def test_generator_entries(self):
+        fmf = [(2637.0, 0.257), (2655.0, 0.226)]
+        distances = [10.0 + k for k in range(71)]
+        expected = detected_count_suppression((12076.0, 0.190), fmf, distances)
+        assert detected_count_suppression(
+            (12076.0, 0.190), (pair for pair in fmf),
+            (d for d in distances)) == expected
 
     def test_no_fmf_entries_rejected(self):
         # the FMF mean divided by zero: a bare ZeroDivisionError
